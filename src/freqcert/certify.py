@@ -87,27 +87,35 @@ def sector_disk(sector: SectorParams) -> Disk:
     return Disk(center=0.0, radius=gain_threshold(sector))
 
 
+def _shift(sector: SectorParams) -> float:
+    return (sector.mu + sector.L) / 2.0
+
+
 def _scaled_loop(method: MethodSpec, sector: SectorParams, rho: float) -> RationalTF:
     k = build_transfer(method)
-    shifted = complementary_sensitivity(k, (sector.mu + sector.L) / 2.0)
-    return rho_scale(shifted, rho)
+    return rho_scale(complementary_sensitivity(k, _shift(sector)), rho)
+
+
+def _stable_gain(loop: RationalTF) -> float | None:
+    """Gain of a scaled loop, or None when its denominator is not Schur-stable."""
+    den = Polynomial(loop.den)
+    if den.degree >= 1 and not is_schur(den, 0.0):
+        return None
+    gain, _ = hinf_norm(loop)
+    return gain
 
 
 def certify(q: CertificationQuery) -> CertificationResult:
     """Run the full pipeline: properness, stability, gain, threshold."""
     k = build_transfer(q.method)
     proper_ok = k.strictly_proper or q.allow_non_strictly_proper
-    loop = _scaled_loop(q.method, q.sector, q.rho)
-    den = Polynomial(loop.den)
-    stable_ok = den.degree < 1 or is_schur(den, 0.0)
+    loop = rho_scale(complementary_sensitivity(k, _shift(q.sector)), q.rho)
+    gain = _stable_gain(loop)
+    stable_ok = gain is not None
     threshold = gain_threshold(q.sector)
+    margin = None if gain is None else threshold - gain
 
-    gain = margin = None
-    if stable_ok:
-        gain, _ = hinf_norm(loop)
-        margin = threshold - gain
-
-    certified = bool(proper_ok and stable_ok and gain is not None and gain < threshold)
+    certified = bool(proper_ok and stable_ok and gain < threshold)
     if not proper_ok:
         diagnostics = "transfer function is not strictly proper"
     elif not stable_ok:
@@ -136,14 +144,20 @@ def best_rate(
     """Smallest certified rate, by bisection; None when nothing certifies
     even arbitrarily close to 1.
 
+    The shifted loop is built once; each probe only rescales it by rho and
+    runs the stability and gain checks, exactly as :func:`certify` would.
     Certification is assumed monotone in rho inside the bracket; this is
     validated at three interior points above the returned rate.
     """
+    k = build_transfer(method)
+    shifted = complementary_sensitivity(k, _shift(sector))
+    if not (k.strictly_proper or allow_improper):
+        return None
+    threshold = gain_threshold(sector)
 
     def certified_at(rho: float) -> bool:
-        return certify(
-            CertificationQuery(method, sector, rho, allow_improper)
-        ).certified
+        gain = _stable_gain(rho_scale(shifted, rho))
+        return gain is not None and gain < threshold
 
     hi = RHO_PROBE
     if not certified_at(hi):

@@ -37,11 +37,10 @@ class CosRational:
 def _cos_power_profile(coeffs) -> np.ndarray:
     """|sum_k c_k e^{jk omega}|^2 as ascending power-basis coefficients in cos(omega)."""
     c = np.asarray(coeffs, dtype=float)
-    n = c.size
-    cheb = np.zeros(n)
-    for k in range(n):
-        for l in range(n):
-            cheb[abs(k - l)] += c[k] * c[l]
+    # Chebyshev coefficient m collects c_k c_l over |k - l| = m: the
+    # autocorrelation at lag m, counted once for m = 0 and twice otherwise.
+    cheb = np.correlate(c, c, "full")[c.size - 1:]
+    cheb[1:] *= 2.0
     return np.polynomial.chebyshev.cheb2poly(cheb)
 
 
@@ -50,6 +49,15 @@ def magnitude_squared_as_cos_rational(k: RationalTF) -> CosRational:
         p=tuple(_cos_power_profile(k.num)),
         q=tuple(_cos_power_profile(k.den)),
     )
+
+
+def _horner(c, x: float) -> float:
+    """Scalar polynomial value in the operation order of
+    ``np.polynomial.polynomial.polyval``, so results are bit-identical."""
+    acc = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        acc = ci + acc * x
+    return acc
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = REFINE_TOL) -> float:
@@ -95,6 +103,13 @@ def hinf_norm(k: RationalTF, grid_points: int | None = None) -> tuple[float, flo
     def ratio(x):
         return np.polynomial.polynomial.polyval(x, p) / np.polynomial.polynomial.polyval(x, q)
 
+    p_list, q_list = p.tolist(), q.tolist()
+
+    def ratio_scalar(x: float) -> float:
+        # a float division by zero raises where numpy's returns inf or nan
+        den = _horner(q_list, x)
+        return _horner(p_list, x) / den if den else ratio(x)
+
     n = max(GRID_MIN, GRID_PER_DEGREE * max(q.size - 1, 1), grid_points or 0)
     xs = np.linspace(-1.0, 1.0, n)
     vals = ratio(xs)
@@ -103,7 +118,7 @@ def hinf_norm(k: RationalTF, grid_points: int | None = None) -> tuple[float, flo
     best_x, best_v = float(xs[i]), float(vals[i])
     lo = float(xs[max(i - 1, 0)])
     hi = float(xs[min(i + 1, n - 1)])
-    x_ref = _golden_max(ratio, lo, hi)
+    x_ref = _golden_max(ratio_scalar, lo, hi)
     v_ref = float(ratio(x_ref))
     if v_ref > best_v:
         best_x, best_v = float(x_ref), v_ref

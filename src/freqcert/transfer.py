@@ -144,10 +144,13 @@ def _poly_from_roots(rts, lead: float) -> list[float]:
 class RationalTF:
     """Reduced rational function in z with a monic denominator.
 
-    ``num`` and ``den`` hold ascending-power real coefficients. Use
-    :meth:`from_coeffs` to construct: it cancels common roots (tolerance
+    ``num`` and ``den`` hold ascending-power real coefficients. Build raw
+    coefficients with :meth:`from_coeffs`: it cancels common roots (tolerance
     ``REDUCE_TOL``), normalizes the leading denominator coefficient to 1 and
-    rejects improper fractions with deg(num) > deg(den).
+    rejects improper fractions with deg(num) > deg(den). The coefficient maps
+    :func:`complementary_sensitivity` and :func:`rho_scale` construct it
+    directly: neither can create a common root, so a reduced input stays
+    reduced and no root finding is repeated.
     """
 
     num: tuple[float, ...]
@@ -304,22 +307,41 @@ def build_transfer(m: MethodSpec) -> RationalTF:
 
 
 def complementary_sensitivity(k: RationalTF, h: float) -> RationalTF:
-    """K / (1 - h K) in reduced, denominator-monic form."""
+    """K / (1 - h K) in denominator-monic form: den becomes den - h num.
+
+    gcd(num, den - h num) = gcd(num, den), so a reduced K gives a reduced
+    result without root finding. Raises ValueError when the leading
+    coefficient cancels relative to the coefficient scale, i.e. when
+    1 - h K(inf) = 0 and the loop is not well posed.
+    """
     if h == 0.0:
         return k
-    shifted = _poly_add(list(k.den), [h * c for c in k.num], sign=-1.0)
-    if max(abs(c) for c in shifted) <= _ZERO_TOL:
-        raise ValueError("shifted denominator vanished")
-    return RationalTF.from_coeffs(k.num, shifted)
+    shifted = list(k.den)
+    for i, c in enumerate(k.num):
+        shifted[i] -= h * c
+    lead = shifted[-1]
+    scale = max(max(abs(c) for c in k.den), abs(h) * max(abs(c) for c in k.num))
+    if abs(lead) <= _ZERO_TOL * scale:
+        raise ValueError("shifted loop is not well posed: its leading coefficient cancels")
+    return RationalTF(
+        num=tuple(c / lead for c in k.num), den=tuple(c / lead for c in shifted)
+    )
 
 
 def rho_scale(k: RationalTF, rho: float) -> RationalTF:
-    """Substitute z -> rho z, i.e. coefficient c_i becomes c_i rho^i."""
+    """Substitute z -> rho z and renormalize to a monic denominator: coefficient
+    c_i becomes c_i rho^(i - n), n = deg den.
+
+    Roots map one-to-one (r -> r / rho), so the result stays reduced and keeps
+    its degrees; nothing is trimmed, however small rho is.
+    """
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]")
-    num = [c * rho**i for i, c in enumerate(k.num)]
-    den = [c * rho**i for i, c in enumerate(k.den)]
-    return RationalTF.from_coeffs(num, den)
+    n = len(k.den) - 1
+    return RationalTF(
+        num=tuple(c * rho ** (i - n) for i, c in enumerate(k.num)),
+        den=tuple(c * rho ** (i - n) for i, c in enumerate(k.den)),
+    )
 
 
 def tf_equal(a: RationalTF, b: RationalTF, tol: float = EQUAL_TOL) -> bool:

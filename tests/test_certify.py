@@ -1,8 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from freqcert.certify import (
+    RHO_PROBE,
     CertificationQuery,
     Disk,
     best_rate,
@@ -11,10 +14,20 @@ from freqcert.certify import (
     closed_form,
     gain_threshold,
     max_learning_rate,
+    _scaled_loop,
     sector_disk,
 )
 from freqcert.operators import SectorParams
-from freqcert.transfer import MethodSpec
+from freqcert.transfer import (
+    MethodSpec,
+    RationalTF,
+    build_transfer,
+    complementary_sensitivity,
+    rho_scale,
+)
+
+# the package re-exports the function certify under the module's name
+certify_mod = importlib.import_module("freqcert.certify")
 
 SECTOR = SectorParams(mu=0.5, L=4.0)
 
@@ -288,3 +301,85 @@ def test_query_validation():
         CertificationQuery(MethodSpec("gd", eta=0.1), SECTOR, rho=1.0)
     with pytest.raises(ValueError):
         CertificationQuery(MethodSpec("gd", eta=0.1), SECTOR, rho=0.0)
+
+
+def _shifted_pole_radius(method, sector):
+    # poles of K/(1 - hK) straight from the build_transfer coefficients
+    k = build_transfer(method)
+    den = np.array(k.den)
+    den[: len(k.num)] -= (sector.mu + sector.L) / 2.0 * np.asarray(k.num)
+    return float(np.max(np.abs(np.roots(den[::-1]))))
+
+
+GENERAL_TRIM_REPRO = MethodSpec(
+    "general",
+    eta=0.010074100626863966,
+    a=(3.12680034490014, -0.14612799241489602, -1.980672352485244),
+    b=(0.06275204857026867, 0.09050934934410007, 0.8467386020856312),
+)
+
+
+def test_best_rate_keeps_the_leading_term_at_small_rho():
+    # at the rho = 1e-6 probe the leading denominator term of this horizon-3
+    # loop is rho^3 = 1e-18 before normalization and must not be trimmed
+    rho = best_rate(GENERAL_TRIM_REPRO, SECTOR)
+    assert rho is not None
+    assert _shifted_pole_radius(GENERAL_TRIM_REPRO, SECTOR) < rho < 1.0
+
+
+def test_scaled_loop_keeps_its_degree():
+    method = MethodSpec("general", eta=0.3, a=(0.5, 0.5, 0.0), b=(0.2, 0.3, 0.5))
+    loop = _scaled_loop(method, SECTOR, 1e-5)
+    assert loop.den_degree == 3
+    assert loop.den[-1] == 1.0
+
+
+@pytest.mark.parametrize(
+    "method, expected",
+    [
+        (MethodSpec("hgd", eta=0.05, a=(0.25,) * 4), 0.97398),
+        (MethodSpec("hgd", eta=0.2, a=(1.0,) + (1e-4,) * 9), 0.89984),
+    ],
+)
+def test_long_horizon_rates_lie_above_the_pole_radius(method, expected):
+    # no rate at or below the pole radius of den - h*num can certify, in
+    # particular not the first probe rho = 1e-6
+    rho = best_rate(method, SECTOR)
+    assert rho > _shifted_pole_radius(method, SECTOR)
+    assert_allclose(rho, expected, atol=1e-5)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_certify_builds_the_transfer_once(monkeypatch):
+    builds = _count_calls(monkeypatch, certify_mod, "build_transfer")
+    res = certify(CertificationQuery(MethodSpec("ogd", eta=1 / 12), SECTOR, rho=0.99))
+    assert res.certified
+    assert len(builds) == 1
+
+
+def test_best_rate_reduces_once(monkeypatch):
+    builds = _count_calls(monkeypatch, certify_mod, "build_transfer")
+    reductions = _count_calls(monkeypatch, RationalTF, "from_coeffs")
+    assert best_rate(MethodSpec("ogd", eta=1 / 12), SECTOR) is not None
+    assert len(builds) == 1
+    assert len(reductions) <= 1
+
+
+def test_coefficient_maps_find_no_roots(monkeypatch):
+    k = build_transfer(MethodSpec("hgd", eta=0.1, a=(0.5, 0.3, 0.2)))
+    root_calls = _count_calls(monkeypatch, np, "roots")
+    shifted = complementary_sensitivity(k, 2.25)
+    for rho in (1e-6, 0.5, RHO_PROBE):
+        rho_scale(shifted, rho)
+    assert root_calls == []

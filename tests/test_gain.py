@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from freqcert.gain import hinf_norm, magnitude_squared_as_cos_rational
+from freqcert.gain import (
+    _cos_power_profile,
+    _horner,
+    hinf_norm,
+    magnitude_squared_as_cos_rational,
+)
 from freqcert.transfer import (
     MethodSpec,
     RationalTF,
@@ -151,3 +156,41 @@ def test_unstable_system_is_rejected():
     k = RationalTF.from_coeffs([1.0], [-1.5, 1.0])  # pole at 1.5
     with pytest.raises(ValueError, match="unstable"):
         hinf_norm(k)
+
+
+def _double_loop_profile(coeffs):
+    # reference: every pair (k, l) contributes c_k c_l to Chebyshev term |k - l|
+    c = np.asarray(coeffs, dtype=float)
+    n = c.size
+    cheb = np.zeros(n)
+    for k in range(n):
+        for l in range(n):
+            cheb[abs(k - l)] += c[k] * c[l]
+    return np.polynomial.chebyshev.cheb2poly(cheb)
+
+
+def test_cos_power_profile_matches_the_double_loop():
+    rng = np.random.default_rng(3)
+    for n in range(1, 13):
+        for _ in range(20):
+            c = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            got = _cos_power_profile(c)
+            want = _double_loop_profile(c)
+            assert got.shape == want.shape
+            assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_scalar_horner_is_bit_identical_to_polyval():
+    def same_bits(x, c):
+        want = np.polynomial.polynomial.polyval(x, np.asarray(c))
+        return np.float64(_horner(c, x)).tobytes() == np.float64(want).tobytes()
+
+    rng = np.random.default_rng(5)
+    for n in range(1, 13):
+        for _ in range(50):
+            c = (rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)).tolist()
+            assert same_bits(float(rng.uniform(-1.0, 1.0)), c)
+    # signed zeros follow polyval too
+    for c in ([-0.0], [0.0, -0.0], [-0.0, -0.0]):
+        for x in (-0.5, 0.0, 0.5):
+            assert same_bits(x, c)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -163,6 +165,32 @@ def test_rho_scale_composes():
     both = rho_scale(k, 0.9 * 0.8)
     nested = rho_scale(rho_scale(k, 0.9), 0.8)
     assert tf_equal(both, nested)
+
+
+def test_complementary_sensitivity_rejects_a_cancelled_leading_term():
+    # K(inf) = 1 and h = 1: 1 - h K has no leading term, the loop is ill posed
+    k = RationalTF.from_coeffs([0.0, 1.0], [-0.5, 1.0])
+    with pytest.raises(ValueError, match="well posed"):
+        complementary_sensitivity(k, 1.0)
+    # a rounding-level remainder is judged relative to the coefficient scale
+    with pytest.raises(ValueError, match="well posed"):
+        complementary_sensitivity(k, float(np.nextafter(1.0, 2.0)))
+    kp = complementary_sensitivity(k, 0.5)
+    assert kp.den_degree == 1 and kp.den[-1] == 1.0
+
+
+def test_rho_scale_keeps_the_degree_at_tiny_rho():
+    a = (0.3, 0.2, 0.1, 0.1, 0.1, 0.05, 0.05, 0.04, 0.03, 0.03)
+    k = complementary_sensitivity(build_transfer(MethodSpec("hgd", eta=0.1, a=a)), 2.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = rho_scale(k, 1e-6)
+    assert scaled.den_degree == k.den_degree == 10
+    assert scaled.num_degree == k.num_degree
+    assert scaled.den[-1] == 1.0
+    assert np.all(np.isfinite(scaled.num)) and np.all(np.isfinite(scaled.den))
+    poles = np.sort_complex(np.roots(scaled.den[::-1]))
+    assert_allclose(poles, np.sort_complex(np.roots(k.den[::-1]) / 1e-6), rtol=1e-6)
 
 
 def test_evaluate_examples():
