@@ -37,6 +37,7 @@ from .stability import Polynomial, is_schur, roots, spectral_radius_poly
 from .transfer import (
     MethodSpec,
     RationalTF,
+    Recursion,
     build_transfer,
     complementary_sensitivity,
     evaluate,

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .operators import OperatorSpec, derived_sector, eval_operator
-from .transfer import MethodSpec
+from .transfer import MethodSpec, Recursion
 
 DIVERGENCE_FACTOR = 1e6
 RATE_FLOOR = 1e-13
@@ -79,45 +80,26 @@ class Trajectory:
     half_points: list | None = None
 
 
-def _lag_coefficients(m: MethodSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Iterate weights b and gradient weights c of the explicit update
-    x+ = sum b_i x_(k-i) - sum c_i s_(k-i)."""
-    if m.family == "gd":
-        return (1.0,), (m.eta,)
-    if m.family == "ogd":
-        return (1.0, 0.0), (2.0 * m.eta, -m.eta)
-    if m.family == "gogd":
-        return (1.0, 0.0), (m.alpha + m.beta, -m.beta)
-    if m.family == "hgd":
-        b = (1.0,) + (0.0,) * (m.horizon - 1)
-        return b, tuple(m.eta * ai for ai in m.a)
-    if m.family == "general":
-        return m.b, tuple(m.eta * ai for ai in m.a)
-    raise ValueError(f"{m.family} has no explicit lag form")
-
-
-def _implicit_solve(op, rhs, coeff, observe_fixed, tol_ref):
-    """Solve x = rhs - coeff * F_obs(x) by damped fixed-point iteration."""
-    try:
-        sec = derived_sector(op)
-        span = sec.mu + sec.L
-    except ValueError:
-        span = 2.0 * float(np.linalg.norm(op.linear_map(), 2))
+def _implicit_solve(rhs, coeff, span, observe_fixed):
+    """Solve x = rhs - coeff * F_obs(x) by damped fixed-point iteration;
+    returns x and the observation F_obs(x) that satisfies it."""
     tau = 2.0 / (2.0 + abs(coeff) * span)
     x = np.array(rhs, dtype=float)
-    tol = IMPLICIT_TOL * (1.0 + float(np.linalg.norm(tol_ref)))
+    tol = IMPLICIT_TOL * (1.0 + float(np.linalg.norm(rhs)))
     for _ in range(IMPLICIT_MAX_ITER):
-        res = x - rhs + coeff * observe_fixed(x)
+        obs = observe_fixed(x)
+        res = x - rhs + coeff * obs
         if float(np.linalg.norm(res)) <= tol:
-            return x
+            return x, obs
         x = x - tau * res
     raise RuntimeError("implicit step did not reach the residual tolerance")
 
 
-def _implicit_step(op, adv, counter, rhs, coeff):
-    """One implicit update x = rhs - coeff * F_obs(x); closed-form resolvent
-    for linear operators under scaling noise, damped iteration otherwise."""
-    idx = next(counter)
+def _implicit_stepper(op, adv, counter, coeff, keep_obs):
+    """Per-run solver of x = rhs - coeff * F_obs(x), one observation index per
+    step: closed-form resolvent for linear operators under scaling noise,
+    damped iteration otherwise. Returns (x, F_obs(x)), the observation None
+    unless ``keep_obs``."""
     linear = op.kind in ("diagonal-quadratic", "bilinear", "minmax-quadratic")
     if linear and adv.strategy in ("none", "scale_up", "scale_down"):
         scale = 1.0
@@ -125,15 +107,44 @@ def _implicit_step(op, adv, counter, rhs, coeff):
             scale += adv.delta
         elif adv.strategy == "scale_down":
             scale -= adv.delta
-        M = op.linear_map()
+        resolvent = np.eye(op.dimension) + coeff * scale * op.linear_map()
         fp = np.asarray(op.fixed_point)
-        w = np.linalg.solve(np.eye(op.dimension) + coeff * scale * M, rhs - fp)
-        return fp + w
 
-    def observe_fixed(x):
-        return apply_noise(adv, eval_operator(op, x), idx)
+        def solve_linear(rhs):
+            idx = next(counter)
+            x = fp + np.linalg.solve(resolvent, rhs - fp)
+            obs = apply_noise(adv, eval_operator(op, x), idx) if keep_obs else None
+            return x, obs
 
-    return _implicit_solve(op, rhs, coeff, observe_fixed, rhs)
+        return solve_linear
+    try:
+        sec = derived_sector(op)
+        span = sec.mu + sec.L
+    except ValueError:
+        span = 2.0 * float(np.linalg.norm(op.linear_map(), 2))
+
+    def solve(rhs):
+        idx = next(counter)
+        return _implicit_solve(
+            rhs, coeff, span, lambda x: apply_noise(adv, eval_operator(op, x), idx)
+        )
+
+    return solve
+
+
+def _combine(terms):
+    """sum w * v over (w, vectors, i) with v = vectors[i]; unit weights add or
+    subtract without a multiply, which is exact."""
+    acc = None
+    for w, vecs, i in terms:
+        v = vecs[i]
+        if w == 1.0:
+            acc = v if acc is None else acc + v
+        elif w == -1.0:
+            acc = -v if acc is None else acc - v
+        else:
+            acc = w * v if acc is None else acc + w * v
+    return acc
 
 
 def run(
@@ -145,14 +156,19 @@ def run(
     mode: str = "simultaneous",
     history=None,
 ) -> Trajectory:
-    """Iterate ``method`` on ``op`` for ``steps`` updates.
+    """Iterate ``method`` on ``op`` for ``steps`` updates of its
+    :class:`~freqcert.transfer.Recursion`.
 
-    Every operator evaluation is filtered through the adversary. History
-    methods replicate ``x0`` across all lags unless ``history`` supplies the
-    earlier iterates (most recent first); for the half-step families the
-    single history entry is the stale evaluation point. Non-finite iterates
-    or growth beyond ``DIVERGENCE_FACTOR`` times the initial distance mark
-    the trajectory diverged and stop it.
+    Every operator evaluation is filtered through the adversary, one
+    observation (and noise index) per evaluation point. ``history`` supplies
+    the earlier points, most recent first: entry i stands for x_(-1-i) and
+    is the point where s_(-1-i) was observed (for a method that evaluates
+    away from its iterates, the stale evaluation point). Entries are observed
+    oldest first. Without it ``x0`` fills every earlier slot and is observed
+    once. ``half_points`` records the evaluation points of methods that
+    evaluate away from their iterates. Non-finite iterates or growth beyond
+    ``DIVERGENCE_FACTOR`` times the initial distance mark the trajectory
+    diverged and stop it.
     """
     if adversary is None:
         adversary = NoiseAdversary("none", 0.0)
@@ -178,145 +194,77 @@ def run(
     if mode != "simultaneous":
         raise ValueError(f"unknown mode {mode!r}")
 
+    rec = Recursion.of(method)
+    if rec.implicit < 0:
+        raise ValueError("implicit step needs a nonnegative coefficient")
+    n_x = max(len(rec.b), len(rec.e))  # iterates x_k .. x_(k-n_x+1) in the state
+    n_s = max(len(rec.c) - 1, len(rec.f))  # earlier observations s_(k-1) .. s_(k-n_s)
+    at_iterate = rec.evaluates_at_iterate
+    observes = bool(rec.c or rec.f)  # s_k enters the update explicitly
+
+    # X holds x_k, x_(k-1), ...; S holds s_(k-1), s_(k-2), ... until s_k is
+    # observed and pushed in front. Both are shifted in place, so the terms
+    # below stay bound to them.
+    X = [x0] * n_x
+    S = [None] * (n_s + 1)
+    pending = None  # s_k when it is already known
+    if history is None:
+        if n_s:
+            s0 = observe(x0)
+            S[:n_s] = [s0] * n_s
+            if at_iterate:
+                pending = s0
+    else:
+        history = [np.asarray(h, dtype=float) for h in history]
+        n_hist = max(n_x - 1, n_s)
+        if len(history) != n_hist:
+            raise ValueError(f"history must supply exactly {n_hist} earlier points")
+        X[1:] = history[: n_x - 1]
+        for i in range(n_s - 1, -1, -1):  # oldest first
+            S[i] = observe(history[i])
+    y_terms = [(w, X, i) for i, w in enumerate(rec.e)]
+    y_terms += [(-w, S, i) for i, w in enumerate(rec.f)]
+    x_terms = [(w, X, i) for i, w in enumerate(rec.b)]
+    x_terms += [(-w, S, i) for i, w in enumerate(rec.c)]
+    solve = None
+    if rec.implicit:
+        solve = _implicit_stepper(op, adversary, counter, rec.implicit, observes)
+
     traj = Trajectory()
     traj.points.append(np.array(x0))
     traj.distances.append(float(np.linalg.norm(x0 - fp)))
-    base = max(traj.distances[0], 1e-12)
+    bound = DIVERGENCE_FACTOR * max(traj.distances[0], 1e-12)
+    halves = None if at_iterate else []
+    traj.half_points = halves
 
-    def record(x) -> bool:
+    for _ in range(steps):
+        if at_iterate:
+            y = X[0]
+        else:
+            y = _combine(y_terms)
+            halves.append(y)
+        if observes:
+            S.insert(0, observe(y) if pending is None else pending)
+            S.pop()
+        x = _combine(x_terms)
+        if solve is not None:
+            x, pending = solve(x)
+        else:
+            pending = None
         traj.points.append(np.array(x))
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             traj.distances.append(float("inf"))
             traj.diverged = True
-            return False
-        d = float(np.linalg.norm(x - fp))
+            break
+        r = x - fp
+        d = math.sqrt(r.dot(r))  # what np.linalg.norm computes, without its overhead
         traj.distances.append(d)
-        if d > DIVERGENCE_FACTOR * base:
+        if d > bound:
             traj.diverged = True
-            return False
-        return True
-
-    fam = method.family
-    if fam in ("gd", "ogd", "gogd", "hgd", "general"):
-        b, c = _lag_coefficients(method)
-        _run_lagged(op, x0, steps, b, c, history, observe, record)
-    elif fam in ("pp", "pid"):
-        _run_implicit(method, op, x0, steps, adversary, counter, history, observe, record)
-    elif fam == "pegd":
-        traj.half_points = _run_past_extragradient(
-            method, op, x0, steps, history, observe, record
-        )
-    elif fam == "rgd":
-        traj.half_points = _run_reflected(method, op, x0, steps, history, observe, record)
-    else:
-        raise ValueError(f"simulation not defined for family {fam!r}")
+            break
+        X.insert(0, x)
+        X.pop()
     return traj
-
-
-def _init_states(x0, horizon, history):
-    if history is None:
-        return [np.array(x0) for _ in range(horizon)], True
-    history = [np.asarray(h, dtype=float) for h in history]
-    if len(history) != horizon - 1:
-        raise ValueError(f"history must supply exactly {horizon - 1} earlier iterates")
-    return [np.array(x0)] + history, False
-
-
-def _run_lagged(op, x0, steps, b, c, history, observe, record):
-    horizon = len(b)
-    X, replicated = _init_states(x0, horizon, history)
-    if replicated:
-        s0 = observe(x0)
-        S = [np.array(s0) for _ in range(horizon)]
-    else:
-        S = [None] * horizon
-        for i in range(horizon - 1, -1, -1):  # oldest lag first
-            S[i] = observe(X[i])
-    for _ in range(steps):
-        new_x = b[0] * X[0]
-        for i in range(1, horizon):
-            new_x = new_x + b[i] * X[i]
-        for i in range(horizon):
-            new_x = new_x - c[i] * S[i]
-        if not record(new_x):
-            return
-        X = [new_x] + X[:-1]
-        S = [observe(new_x)] + S[:-1]
-
-
-def _run_implicit(method, op, x0, steps, adv, counter, history, observe, record):
-    if method.family == "pp":
-        coeff = method.eta
-        lag_c = ()
-        horizon = 1
-    else:
-        coeff = method.kp + method.kd
-        if coeff < 0:
-            raise ValueError("implicit step needs kp + kd >= 0")
-        lag_c = (-method.kp + method.ki - 2.0 * method.kd, method.kd)
-        horizon = 2
-    X, replicated = _init_states(x0, horizon, history)
-    if horizon > 1:
-        if replicated:
-            s0 = observe(x0)
-            S = [np.array(s0) for _ in range(horizon)]
-        else:
-            S = [None] * horizon
-            for i in range(horizon - 1, -1, -1):
-                S[i] = observe(X[i])
-    else:
-        S = []
-    for _ in range(steps):
-        rhs = np.array(X[0])
-        for i, ci in enumerate(lag_c):
-            rhs = rhs - ci * S[i]
-        if coeff == 0.0:
-            new_x = rhs
-        else:
-            new_x = _implicit_step(op, adv, counter, rhs, coeff)
-        if not record(new_x):
-            return
-        X = [new_x] + X[:-1]
-        if horizon > 1:
-            S = [observe(new_x)] + S[:-1]
-
-
-def _run_past_extragradient(method, op, x0, steps, history, observe, record):
-    eta = method.eta
-    stale_point = np.asarray(history[0], dtype=float) if history else np.array(x0)
-    if history is not None and len(history) != 1:
-        raise ValueError("past extra-gradient takes one stale half point")
-    s_prev = observe(stale_point)
-    halves = []
-    x = np.array(x0)
-    for _ in range(steps):
-        half = x - eta * s_prev
-        halves.append(half)
-        s_half = observe(half)
-        new_x = x - eta * s_half
-        if not record(new_x):
-            return halves
-        x = new_x
-        s_prev = s_half
-    return halves
-
-
-def _run_reflected(method, op, x0, steps, history, observe, record):
-    eta = method.eta
-    if history is not None and len(history) != 1:
-        raise ValueError("reflected step takes one earlier iterate")
-    x_prev = np.asarray(history[0], dtype=float) if history else np.array(x0)
-    halves = []
-    x = np.array(x0)
-    for _ in range(steps):
-        half = 2.0 * x - x_prev
-        halves.append(half)
-        new_x = x - eta * observe(half)
-        if not record(new_x):
-            return halves
-        x_prev = x
-        x = new_x
-    return halves
 
 
 def _run_alternating(method, op, x0, steps, adv, counter):

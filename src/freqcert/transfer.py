@@ -204,106 +204,79 @@ class RationalTF:
         return self.num_degree < self.den_degree
 
 
-def _general_historical_tf(eta: float, a: tuple, b: tuple) -> RationalTF:
-    horizon = len(a)
-    # numerator -eta * sum_i a_i z^(T-i); ascending index T-i
-    num = [0.0] * horizon
-    for i, ai in enumerate(a, start=1):
-        num[horizon - i] = -eta * ai
-    den = [0.0] * (horizon + 1)
-    den[horizon] = 1.0
-    for i, bi in enumerate(b, start=1):
-        den[horizon - i] -= bi
-    return RationalTF.from_coeffs(num, den)
+@dataclass(frozen=True)
+class Recursion:
+    """One update rule of a historical method, in feedback with the operator.
+
+    With s_k = F_obs(y_k) the operator value observed at the evaluation point
+    y_k, the method iterates
+
+        y_k     = sum_i e_i x_(k-i) - sum_i f_i s_(k-1-i)
+        x_(k+1) = sum_i b_i x_(k-i) - sum_i c_i s_(k-i) - implicit * s_(k+1)
+
+    A nonzero ``implicit`` observes the operator at the new iterate, which
+    must then be solved for; such methods evaluate at their iterates
+    (e = (1,), f = ()). :func:`build_transfer` reads K(z) off these
+    coefficients and ``dynamics.run`` iterates them, so this is the one place
+    that defines a family.
+    """
+
+    b: tuple[float, ...]
+    c: tuple[float, ...]
+    e: tuple[float, ...] = (1.0,)
+    f: tuple[float, ...] = ()
+    implicit: float = 0.0
+
+    @property
+    def evaluates_at_iterate(self) -> bool:
+        return self.e == (1.0,) and not self.f
+
+    @classmethod
+    def of(cls, m: MethodSpec) -> "Recursion":
+        return _RECURSIONS[m.family](m)
 
 
-def _poly_mul(p, q):
-    return list(np.convolve(p, q))
+_RECURSIONS = {
+    "gd": lambda m: Recursion((1.0,), (m.eta,)),
+    "ogd": lambda m: Recursion((1.0,), (2.0 * m.eta, -m.eta)),
+    "gogd": lambda m: Recursion((1.0,), (m.alpha + m.beta, -m.beta)),
+    "hgd": lambda m: Recursion((1.0,), tuple(m.eta * ai for ai in m.a)),
+    "general": lambda m: Recursion(m.b, tuple(m.eta * ai for ai in m.a)),
+    "pp": lambda m: Recursion((1.0,), (), implicit=m.eta),
+    "pid": lambda m: Recursion(
+        (1.0,), (-m.kp + m.ki - 2.0 * m.kd, m.kd), implicit=m.kp + m.kd
+    ),
+    "pegd": lambda m: Recursion((1.0,), (m.eta,), f=(m.eta,)),
+    "rgd": lambda m: Recursion((1.0,), (m.eta,), e=(2.0, -1.0)),
+}
 
 
-def _poly_add(p, q, sign=1.0):
-    n = max(len(p), len(q))
-    out = [0.0] * n
-    for i, v in enumerate(p):
-        out[i] += v
-    for i, v in enumerate(q):
-        out[i] += sign * v
-    return out
-
-
-def _poly_det(entries):
-    # Laplace expansion along the first row; entries are ascending coefficient
-    # lists, exact in float for the small state matrices used here.
-    n = len(entries)
-    if n == 1:
-        return list(entries[0][0])
-    acc = [0.0]
-    for j in range(n):
-        minor = [[row[k] for k in range(n) if k != j] for row in entries[1:]]
-        term = _poly_mul(entries[0][j], _poly_det(minor))
-        acc = _poly_add(acc, term, sign=(-1.0) ** j)
-    return acc
-
-
-def _state_space_tf(A, B, C) -> RationalTF:
-    """Transfer function of x+ = A x + B v, u = C x (single input/output)."""
-    A = np.asarray(A, dtype=float)
-    closed = A - np.outer(np.asarray(B, float), np.asarray(C, float))
-
-    def char_entries(M):
-        n = M.shape[0]
-        return [
-            [[-M[i, j], 1.0] if i == j else [-M[i, j]] for j in range(n)]
-            for i in range(n)
-        ]
-
-    den = _poly_det(char_entries(A))
-    num = _poly_add(_poly_det(char_entries(closed)), den, sign=-1.0)
-    return RationalTF.from_coeffs(num, den)
-
-
-def _pegd_tf(eta: float) -> RationalTF:
-    # State recursion of the past extra-gradient step: the grad of the stale
-    # half-point is replayed once before the fresh evaluation enters.
-    A = [[0.0, 1.0, -eta], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
-    B = [0.0, -eta, 1.0]
-    C = [0.0, 1.0, -eta]
-    return _state_space_tf(A, B, C)
-
-
-def _rgd_tf(eta: float) -> RationalTF:
-    # Reflected step: evaluate at the extrapolated point 2 x_k - x_{k-1}.
-    A = [[0.0, 2.0, 1.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
-    B = [0.0, -eta, 0.0]
-    C = [0.0, 2.0, -1.0]
-    return _state_space_tf(A, B, C)
+def _padded(p: list, n: int) -> list:
+    return p + [0.0] * (n - len(p))
 
 
 def build_transfer(m: MethodSpec) -> RationalTF:
-    """Transfer function of the controller realizing method ``m``."""
-    if m.family == "gd":
-        return RationalTF.from_coeffs([-m.eta], [-1.0, 1.0])
-    if m.family == "ogd":
-        return RationalTF.from_coeffs([m.eta, -2.0 * m.eta], [0.0, -1.0, 1.0])
-    if m.family == "gogd":
-        return RationalTF.from_coeffs(
-            [m.beta, -(m.alpha + m.beta)], [0.0, -1.0, 1.0]
-        )
-    if m.family == "pp":
-        return RationalTF.from_coeffs([0.0, -m.eta], [-1.0, 1.0])
-    if m.family == "pid":
-        num = [-m.kd, m.kp - m.ki + 2.0 * m.kd, -(m.kp + m.kd)]
-        return RationalTF.from_coeffs(num, [0.0, -1.0, 1.0])
-    if m.family == "hgd":
-        ones = (1.0,) + (0.0,) * (m.horizon - 1)
-        return _general_historical_tf(m.eta, m.a, ones)
-    if m.family == "general":
-        return _general_historical_tf(m.eta, m.a, m.b)
-    if m.family == "pegd":
-        return _pegd_tf(m.eta)
-    if m.family == "rgd":
-        return _rgd_tf(m.eta)
-    raise ValueError(f"unknown method family {m.family!r}")
+    """Transfer function K(z) from observed operator values to evaluation
+    points, read off the method's :class:`Recursion`.
+
+    In w = 1/z, with beta, gamma, epsilon, phi the polynomials of the
+    coefficients b, c, e, f:
+    K = -[epsilon (implicit + w gamma) + w phi (1 - w beta)] / (1 - w beta).
+    Multiplying through by z^d turns both into polynomials in z.
+    """
+    r = Recursion.of(m)
+    den = [1.0] + [0.0 - v for v in r.b]  # 1 - w beta; a zero weight stays +0.0
+    inner = [r.implicit, *r.c]  # implicit + w gamma
+    if r.e != (1.0,):
+        inner = list(np.convolve(r.e, inner))
+    if r.f:
+        tail = [0.0, *np.convolve(r.f, den)]  # w phi (1 - w beta)
+        n = max(len(inner), len(tail))
+        inner = [p + q for p, q in zip(_padded(inner, n), _padded(tail, n))]
+    n = max(len(inner), len(den))
+    num = _padded([-v for v in inner], n)
+    # the coefficient of w^i becomes that of z^(n-1-i)
+    return RationalTF.from_coeffs(num[::-1], _padded(den, n)[::-1])
 
 
 def complementary_sensitivity(k: RationalTF, h: float) -> RationalTF:

@@ -15,7 +15,7 @@ from freqcert.operators import (
     eval_operator,
     scalar_noncvx,
 )
-from freqcert.transfer import MethodSpec
+from freqcert.transfer import MethodSpec, build_transfer
 
 
 def test_gd_contracts_at_the_equalized_rate():
@@ -222,3 +222,57 @@ def test_general_historical_simulation():
     t = run(m, op, [1.0, -1.0], 400)
     assert not t.diverged
     assert t.distances[-1] < 1e-6
+
+
+def test_pid_rejects_a_negative_implicit_coefficient():
+    with pytest.raises(ValueError):
+        run(MethodSpec("pid", kp=0.1, ki=0.1, kd=-0.2), scalar_noncvx(), [0.5], 10)
+
+
+def test_pid_observes_each_point_once_under_random_noise():
+    # the implicit step stores the observation it solved with, so the whole
+    # trajectory satisfies the pid recursion in one noisy signal g_j, read at
+    # x_j under noise index j (the replicated start fills g_(-1) with g_0)
+    kp, ki, kd = 0.1, 0.15, 0.03
+    m = MethodSpec("pid", kp=kp, ki=ki, kd=kd)
+    adv = NoiseAdversary("random", 0.3, seed=4)
+    for op, x0 in (
+        (diagonal_quadratic([0.5, 4.0]), [1.0, -2.0]),
+        (scalar_noncvx(), [2.0]),
+    ):
+        t = run(m, op, x0, 60, adversary=adv)
+        g = [apply_noise(adv, eval_operator(op, x), j) for j, x in enumerate(t.points)]
+        g = [g[0]] + g
+        for k in range(len(t.points) - 1):
+            res = (
+                t.points[k + 1] - t.points[k]
+                + (kp + kd) * g[k + 2]
+                + (-kp + ki - 2.0 * kd) * g[k + 1]
+                + kd * g[k]
+            )
+            assert np.linalg.norm(res) <= 1e-11 * (1.0 + np.linalg.norm(t.points[k])), k
+
+
+def test_simulator_and_certifier_see_the_same_system():
+    # on F(x) = lam x the loop closes where den - lam num = 0, so the slowest
+    # root of that polynomial is the rate the simulation must show
+    methods = [
+        MethodSpec("gd", eta=0.1),
+        MethodSpec("ogd", eta=0.1),
+        MethodSpec("gogd", alpha=0.1, beta=0.05),
+        MethodSpec("hgd", eta=0.1, a=(1.5, -0.3, 0.1)),
+        MethodSpec("general", eta=0.1, a=(1.0, 0.4), b=(0.7, 0.3)),
+        MethodSpec("pp", eta=0.3),
+        MethodSpec("pid", kp=0.05, ki=0.15, kd=0.02),
+        MethodSpec("pegd", eta=0.1),
+        MethodSpec("rgd", eta=0.08),
+    ]
+    for m in methods:
+        k = build_transfer(m)
+        n = len(k.den)
+        num = np.pad(k.num, (0, n - len(k.num)))
+        for lam in (0.7, 2.5):
+            radius = max(abs(np.roots((np.asarray(k.den) - lam * num)[::-1])))
+            steps = max(60, int(np.log(1e-9) / np.log(radius)))
+            t = run(m, diagonal_quadratic([lam]), [1.0], steps)
+            assert abs(estimate_rate(t) - radius) <= 1e-6, (m.family, lam)

@@ -67,10 +67,12 @@ def test_pid_subsumes_gogd_and_pp():
 
 
 def test_single_call_variants_share_the_optimistic_transfer():
-    ogd = build_transfer(MethodSpec("ogd", eta=0.1))
-    assert tf_equal(ogd, build_transfer(MethodSpec("pegd", eta=0.1)))
-    assert tf_equal(ogd, build_transfer(MethodSpec("rgd", eta=0.1)))
-    assert not tf_equal(ogd, build_transfer(MethodSpec("gd", eta=0.1)))
+    for eta in (0.1, 0.37, 1.3):
+        ogd = build_transfer(MethodSpec("ogd", eta=eta))
+        # coefficient for coefficient, not only as rational functions
+        assert build_transfer(MethodSpec("pegd", eta=eta)) == ogd
+        assert build_transfer(MethodSpec("rgd", eta=eta)) == ogd
+    assert not tf_equal(ogd, build_transfer(MethodSpec("gd", eta=1.3)))
 
 
 def test_equivalence_family():
