@@ -22,6 +22,10 @@ REFINE_TOL = 1e-12
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
+class UnstableSystemError(ValueError):
+    """The gain is asked of a system whose denominator is not Schur-stable."""
+
+
 @dataclass(frozen=True)
 class CosRational:
     """Ratio P(x)/Q(x) equal to |K(e^{j omega})|^2 under x = cos(omega).
@@ -85,16 +89,20 @@ def _golden_max(f, lo: float, hi: float, tol: float = REFINE_TOL) -> float:
 def hinf_norm(k: RationalTF, grid_points: int | None = None) -> tuple[float, float]:
     """Supremum of |K(e^{j omega})| over omega, with the maximizing frequency.
 
-    Requires a Schur-stable denominator; raises ValueError otherwise. The
-    maximum of the cosine-substituted ratio is located on a dense grid over
-    x in [-1, 1] (at least ``GRID_MIN`` points, scaled with the denominator
-    degree) and refined by golden-section search; both endpoints are always
-    evaluated exactly. Returns (gain, omega) with omega = arccos(x*) in
-    [0, pi]; the mirrored frequency attains the same value.
+    This is the one place the certification pipeline decides stability: it
+    raises :class:`UnstableSystemError` when the denominator is not
+    Schur-stable. The maximum of the cosine-substituted ratio is located on
+    a dense grid over x in [-1, 1] (at least ``GRID_MIN`` points, scaled with
+    the denominator degree) and refined by golden-section search inside the
+    best grid cell; both endpoints are always evaluated exactly. The result
+    is a sampled maximum, not a bound: a resonance narrower than the grid
+    spacing can be missed and the gain underestimated. Returns (gain, omega)
+    with omega = arccos(x*) in [0, pi]; the mirrored frequency attains the
+    same value.
     """
     den = Polynomial(k.den)
     if den.degree >= 1 and not is_schur(den, 0.0):
-        raise ValueError("gain undefined for unstable system")
+        raise UnstableSystemError("gain undefined for unstable system")
 
     cr = magnitude_squared_as_cos_rational(k)
     p = np.asarray(cr.p)

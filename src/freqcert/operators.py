@@ -280,6 +280,8 @@ def eval_operator(op: OperatorSpec, x) -> np.ndarray:
         A = np.asarray(op.matrix, dtype=float)
         n = A.shape[0]
         return np.concatenate([A @ x[n:], -A.T @ x[:n]])
+    if op.kind == "diagonal-quadratic":
+        return np.asarray(op.spectrum) * (x - op.fixed_point)
     return op.linear_map() @ (x - np.asarray(op.fixed_point))
 
 

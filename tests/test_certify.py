@@ -18,6 +18,12 @@ from freqcert.certify import (
     sector_disk,
 )
 from freqcert.operators import SectorParams
+from freqcert.stability import (
+    MARGINAL_ROOT_BAND,
+    Polynomial,
+    is_schur,
+    spectral_radius_poly,
+)
 from freqcert.transfer import (
     MethodSpec,
     RationalTF,
@@ -374,6 +380,85 @@ def test_best_rate_reduces_once(monkeypatch):
     assert best_rate(MethodSpec("ogd", eta=1 / 12), SECTOR) is not None
     assert len(builds) == 1
     assert len(reductions) <= 1
+
+
+def test_best_rate_decides_stability_once_per_probe(monkeypatch):
+    gain_mod = importlib.import_module("freqcert.gain")
+    scales = _count_calls(monkeypatch, certify_mod, "rho_scale")
+    schur = _count_calls(monkeypatch, gain_mod, "is_schur")
+    schur += _count_calls(monkeypatch, certify_mod, "is_schur")
+    assert best_rate(MethodSpec("ogd", eta=1 / 12), SECTOR) is not None
+    assert len(scales) > 0
+    assert len(schur) == len(scales)
+
+
+def _family_corpus(seed):
+    """Two seeded methods of each of the nine families, with the
+    allow_improper flag each needs, spread over their certifiable ranges."""
+    rng = np.random.default_rng(seed)
+    u = lambda lo, hi: float(rng.uniform(lo, hi))
+
+    def weights(n):
+        return tuple(float(v) for v in rng.dirichlet(np.ones(n)))
+
+    out = []
+    for i in range(2):
+        out += [
+            (MethodSpec("gd", eta=u(0.05, 0.45)), False),
+            (MethodSpec("ogd", eta=u(0.01, 0.16)), False),
+            (MethodSpec("gogd", alpha=u(0.05, 0.25), beta=u(0.0, 0.1)), False),
+            (MethodSpec("pp", eta=u(0.1, 4.0)), True),
+            (MethodSpec("pid", kp=u(0.02, 0.1), ki=u(0.05, 0.25), kd=u(-0.05, 0.02)),
+             True),
+            (MethodSpec("hgd", eta=u(0.02, 0.3), a=weights(2 + i)), False),
+            (MethodSpec("general", eta=u(0.05, 0.6), a=weights(2 + i), b=weights(2 + i)),
+             False),
+            (MethodSpec("pegd", eta=u(0.02, 0.16)), False),
+            (MethodSpec("rgd", eta=u(0.02, 0.16)), False),
+        ]
+    return out
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.04])
+def test_certification_is_monotone_above_best_rate(delta):
+    # best_rate's bisection relies on this; see its docstring for the proof
+    sector = SectorParams(mu=0.5, L=4.0, delta=delta)
+    families = set()
+    for method, allow in _family_corpus(5):
+        rho = best_rate(method, sector, allow_improper=allow)
+        if rho is None:
+            continue
+        families.add(method.family)
+        for frac in np.linspace(0.0, 1.0, 7)[1:-1]:
+            probe = rho + (RHO_PROBE - rho) * frac
+            res = certify(CertificationQuery(method, sector, probe, allow))
+            assert res.certified, (method, probe, res.diagnostics)
+    assert len(families) == 9
+
+
+def test_is_schur_matches_the_recursion_on_bisection_probes(monkeypatch, schur_recursion):
+    # every scaled denominator a best_rate search visits, over all nine families
+    loops = []
+    scale = certify_mod.rho_scale
+
+    def recorded(tf, rho):
+        loops.append(scale(tf, rho))
+        return loops[-1]
+
+    monkeypatch.setattr(certify_mod, "rho_scale", recorded)
+    for delta in (0.0, 0.04):
+        sector = SectorParams(mu=0.5, L=4.0, delta=delta)
+        for method, allow in _family_corpus(5):
+            best_rate(method, sector, allow_improper=allow)
+    checked = disagree = 0
+    for loop in loops:
+        den = Polynomial(loop.den)
+        if den.degree < 1 or abs(spectral_radius_poly(den) - 1.0) <= MARGINAL_ROOT_BAND:
+            continue
+        checked += 1
+        disagree += is_schur(den, 0.0) != schur_recursion(den, 0.0)
+    assert checked > 500
+    assert disagree == 0
 
 
 def test_coefficient_maps_find_no_roots(monkeypatch):

@@ -100,12 +100,13 @@ def test_game_spectral_data():
     assert_allclose(g.gamma, 2.0, rtol=1e-12)
     assert_allclose(g.eigs_AAT, (1.0, 4.0), rtol=1e-10)
     rng = np.random.default_rng(31)
-    A = rng.uniform(-1, 1, size=(3, 3))
-    g3 = BilinearGame.from_matrix(A)
-    assert_allclose(
-        sorted(g3.eigs_AAT), sorted(np.linalg.eigvalsh(A @ A.T)), rtol=1e-8
-    )
-    assert_allclose(g3.gamma, np.linalg.norm(A, 2), rtol=1e-10)
+    matrices = [rng.uniform(-1, 1, size=(3, 3))]
+    matrices += [rng.uniform(-1, 1, size=(n, n)) for n in rng.integers(2, 7, size=20)]
+    for A in matrices:
+        g = BilinearGame.from_matrix(A)
+        assert list(g.eigs_AAT) == sorted(g.eigs_AAT)
+        assert_allclose(g.eigs_AAT, np.linalg.eigvalsh(A @ A.T), rtol=1e-8)
+        assert_allclose(g.gamma, np.linalg.norm(A, 2), rtol=1e-10)
 
 
 def test_full_game_stability_reduces_to_per_eigenvalue_factors():
