@@ -235,6 +235,7 @@ def main(argv=None) -> int:
         KeyError,
         OSError,
         RuntimeError,
+        ZeroDivisionError,
         json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,9 @@ COEFF_TRIM_TOL = 1e-14
 MARGINAL_ROOT_BAND = 1e-9
 
 
-def _trim(coeffs) -> tuple[float, ...]:
+def trim(coeffs) -> tuple[float, ...]:
+    """Drop leading coefficients of magnitude at most ``COEFF_TRIM_TOL``,
+    keeping at least one."""
     c = [float(v) for v in coeffs]
     while len(c) > 1 and abs(c[-1]) <= COEFF_TRIM_TOL:
         c.pop()
@@ -30,7 +32,7 @@ class Polynomial:
     def __post_init__(self):
         if len(self.coeffs) == 0:
             raise ValueError("empty coefficient vector")
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
+        object.__setattr__(self, "coeffs", trim(self.coeffs))
 
     @property
     def degree(self) -> int:

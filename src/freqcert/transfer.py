@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable
 
 import numpy as np
 
-REDUCE_TOL = 1e-10
+from .stability import COEFF_TRIM_TOL, trim
+
 EQUAL_TOL = 1e-12
-_ZERO_TOL = 1e-14
 
 # family -> fields the JSON schema requires for it
 _FAMILY_FIELDS = {
@@ -123,34 +122,18 @@ class MethodSpec:
         return out
 
 
-def _trim_high(coeffs: Iterable[float]) -> list[float]:
-    c = [float(v) for v in coeffs]
-    while len(c) > 1 and abs(c[-1]) <= _ZERO_TOL:
-        c.pop()
-    return c
-
-
-def _poly_from_roots(rts, lead: float) -> list[float]:
-    # np.poly returns descending coefficients; conjugate pairs keep the
-    # product real up to rounding.
-    if len(rts) == 0:
-        return [lead]
-    desc = np.poly(np.asarray(rts, dtype=complex))
-    asc = desc[::-1].real * lead
-    return list(asc)
-
-
 @dataclass(frozen=True)
 class RationalTF:
-    """Reduced rational function in z with a monic denominator.
+    """Rational function in z with a monic denominator, every mode kept.
 
     ``num`` and ``den`` hold ascending-power real coefficients. Build raw
-    coefficients with :meth:`from_coeffs`: it cancels common roots (tolerance
-    ``REDUCE_TOL``), normalizes the leading denominator coefficient to 1 and
-    rejects improper fractions with deg(num) > deg(den). The coefficient maps
+    coefficients with :meth:`from_coeffs`: it trims negligible leading
+    coefficients, normalizes the leading denominator coefficient to 1 and
+    rejects improper fractions with deg(num) > deg(den). It cancels nothing:
+    a root shared by num and den is a mode of the method's recursion, and the
+    certificate must see it. The coefficient maps
     :func:`complementary_sensitivity` and :func:`rho_scale` construct it
-    directly: neither can create a common root, so a reduced input stays
-    reduced and no root finding is repeated.
+    directly.
     """
 
     num: tuple[float, ...]
@@ -158,38 +141,14 @@ class RationalTF:
 
     @classmethod
     def from_coeffs(cls, num, den) -> "RationalTF":
-        num = _trim_high(num)
-        den = _trim_high(den)
-        if max(abs(c) for c in den) <= _ZERO_TOL:
+        num = trim(num)
+        den = trim(den)
+        if abs(den[-1]) <= COEFF_TRIM_TOL:
             raise ValueError("denominator is identically zero")
-        num_is_zero = max(abs(c) for c in num) <= _ZERO_TOL
-
-        if not num_is_zero and len(num) > 1 and len(den) > 1:
-            rn = list(np.roots(num[::-1]))
-            rd = list(np.roots(den[::-1]))
-            cancelled = False
-            kept_n = []
-            for r in rn:
-                match = None
-                for i, s in enumerate(rd):
-                    if abs(r - s) <= REDUCE_TOL * max(1.0, abs(r)):
-                        match = i
-                        break
-                if match is None:
-                    kept_n.append(r)
-                else:
-                    rd.pop(match)
-                    cancelled = True
-            if cancelled:
-                num = _poly_from_roots(kept_n, num[-1])
-                den = _poly_from_roots(rd, den[-1])
-
-        lead = den[-1]
-        num = tuple(float(c) / lead for c in num)
-        den = tuple(float(c) / lead for c in den)
-        if len(num) - 1 > len(den) - 1:
+        if len(num) > len(den):
             raise ValueError("numerator degree exceeds denominator degree")
-        return cls(num=num, den=den)
+        lead = den[-1]
+        return cls(num=tuple(c / lead for c in num), den=tuple(c / lead for c in den))
 
     @property
     def num_degree(self) -> int:
@@ -262,7 +221,9 @@ def build_transfer(m: MethodSpec) -> RationalTF:
     In w = 1/z, with beta, gamma, epsilon, phi the polynomials of the
     coefficients b, c, e, f:
     K = -[epsilon (implicit + w gamma) + w phi (1 - w beta)] / (1 - w beta).
-    Multiplying through by z^d turns both into polynomials in z.
+    Multiplying through by z^d turns both into polynomials in z. Nothing is
+    cancelled, so num and den keep every mode the recursion has: its
+    characteristic polynomial on F(x) = lam x is den - lam num.
     """
     r = Recursion.of(m)
     den = [1.0] + [0.0 - v for v in r.b]  # 1 - w beta; a zero weight stays +0.0
@@ -282,10 +243,11 @@ def build_transfer(m: MethodSpec) -> RationalTF:
 def complementary_sensitivity(k: RationalTF, h: float) -> RationalTF:
     """K / (1 - h K) in denominator-monic form: den becomes den - h num.
 
-    gcd(num, den - h num) = gcd(num, den), so a reduced K gives a reduced
-    result without root finding. Raises ValueError when the leading
-    coefficient cancels relative to the coefficient scale, i.e. when
-    1 - h K(inf) = 0 and the loop is not well posed.
+    A root c shared by num and den stays a root of both, so the shifted
+    loop keeps the mode at c and certifies only at rates rho > |c|. Raises
+    ValueError when the leading coefficient cancels relative to the
+    coefficient scale, i.e. when 1 - h K(inf) = 0 and the loop is not well
+    posed.
     """
     if h == 0.0:
         return k
@@ -294,7 +256,7 @@ def complementary_sensitivity(k: RationalTF, h: float) -> RationalTF:
         shifted[i] -= h * c
     lead = shifted[-1]
     scale = max(max(abs(c) for c in k.den), abs(h) * max(abs(c) for c in k.num))
-    if abs(lead) <= _ZERO_TOL * scale:
+    if abs(lead) <= COEFF_TRIM_TOL * scale:
         raise ValueError("shifted loop is not well posed: its leading coefficient cancels")
     return RationalTF(
         num=tuple(c / lead for c in k.num), den=tuple(c / lead for c in shifted)
@@ -305,8 +267,8 @@ def rho_scale(k: RationalTF, rho: float) -> RationalTF:
     """Substitute z -> rho z and renormalize to a monic denominator: coefficient
     c_i becomes c_i rho^(i - n), n = deg den.
 
-    Roots map one-to-one (r -> r / rho), so the result stays reduced and keeps
-    its degrees; nothing is trimmed, however small rho is.
+    Roots map one-to-one (r -> r / rho), so the result keeps its degrees and
+    every mode; nothing is trimmed, however small rho is.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]")

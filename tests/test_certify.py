@@ -382,6 +382,27 @@ def test_best_rate_reduces_once(monkeypatch):
     assert len(reductions) <= 1
 
 
+def test_modes_shared_by_num_and_den_bound_the_rate():
+    # each spec's K has a root common to num and den: z = 1 (the recursion
+    # conserves x_k + eta s_(k-1)), z = -1, and z = 0.97. The simulation
+    # never contracts faster than that mode, so neither may the certificate.
+    integrator = MethodSpec("hgd", eta=0.2, a=(1.0, -1.0))
+    assert best_rate(integrator, SECTOR) is None
+    assert max_learning_rate(integrator, SECTOR) is None
+    assert best_rate(MethodSpec("general", eta=0.1, a=(1.0, 1.0), b=(0.0, 1.0)), SECTOR) is None
+    slow = MethodSpec("general", eta=0.1, a=(1.0, -0.97), b=(1.97, -0.97))
+    assert best_rate(slow, SECTOR) >= 0.97
+
+
+def test_common_roots_at_zero_leave_the_rate_unchanged():
+    # zero weights add common roots at z = 0; they cancel exactly in |N/D|
+    # and stay at 0 under rho scaling
+    gd = MethodSpec("gd", eta=0.1)
+    padded = MethodSpec("hgd", eta=0.1, a=(1.0, 0.0, 0.0))
+    assert build_transfer(padded).den_degree == 3
+    assert best_rate(padded, SECTOR) == best_rate(gd, SECTOR)
+
+
 def test_best_rate_decides_stability_once_per_probe(monkeypatch):
     gain_mod = importlib.import_module("freqcert.gain")
     scales = _count_calls(monkeypatch, certify_mod, "rho_scale")

@@ -141,6 +141,21 @@ def test_nyquist_marks_outside_samples(tmp_path):
         assert (abs(complex(float(re), float(im))) < radius) == bool(int(flag))
 
 
+def test_nyquist_reports_a_pole_on_the_unit_circle(tmp_path, capsys):
+    # both loops keep a mode on the unit circle (z = 1, then z = -1), and a
+    # 257-point grid over [-pi, pi] samples both
+    methods = [
+        {"family": "hgd", "eta": 0.2, "a": [1, -1]},
+        {"family": "general", "eta": 0.1, "a": [1, 1], "b": [0, 1]},
+    ]
+    for i, method in enumerate(methods):
+        cfg = _write(tmp_path, f"pole{i}.json", {"method": method, "sector": {"mu": 0.5, "L": 4}})
+        out = tmp_path / f"pole{i}.csv"
+        assert main(["nyquist", "--config", cfg, "--points", "257", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: evaluation at a pole")
+        assert not out.exists()
+
+
 def test_spectrum_brackets_the_alt_boundary(tmp_path):
     out = tmp_path / "spec.csv"
     assert (

@@ -262,6 +262,8 @@ def test_simulator_and_certifier_see_the_same_system():
         MethodSpec("gogd", alpha=0.1, beta=0.05),
         MethodSpec("hgd", eta=0.1, a=(1.5, -0.3, 0.1)),
         MethodSpec("general", eta=0.1, a=(1.0, 0.4), b=(0.7, 0.3)),
+        # num and den share the root 0.97, the slowest mode of the recursion
+        MethodSpec("general", eta=0.1, a=(1.0, -0.97), b=(1.97, -0.97)),
         MethodSpec("pp", eta=0.3),
         MethodSpec("pid", kp=0.05, ki=0.15, kd=0.02),
         MethodSpec("pegd", eta=0.1),

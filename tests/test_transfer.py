@@ -224,11 +224,15 @@ def test_complementary_sensitivity_against_unreduced_formula():
             assert_allclose(got, expected, rtol=1e-9, atol=1e-12)
 
 
-def test_from_coeffs_reduces_common_roots():
-    # (z - 0.5)(z - 2) / ((z - 0.5) z) -> (z - 2)/z
-    k = RationalTF.from_coeffs(np.convolve([-0.5, 1], [-2, 1]), np.convolve([-0.5, 1], [0, 1]))
-    assert_allclose(k.num, [-2.0, 1.0], atol=1e-12)
-    assert_allclose(k.den, [0.0, 1.0], atol=1e-12)
+def test_from_coeffs_keeps_common_roots():
+    # (z - 0.5)(z - 2) / ((z - 0.5) z): the shared root at 0.5 is a mode of
+    # the system, so neither side loses a degree
+    num = np.convolve([-0.5, 1], [-2, 1])
+    den = np.convolve([-0.5, 1], [0, 1])
+    k = RationalTF.from_coeffs(num, den)
+    assert k.num_degree == k.den_degree == 2
+    assert_allclose(k.num, num, atol=1e-15)
+    assert_allclose(k.den, den, atol=1e-15)
 
 
 def test_from_coeffs_rejects_improper():
