@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,8 @@ class SectorParams:
     delta: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.mu, self.L, self.delta)):
+            raise ValueError("sector parameters must be finite")
         if not 0.0 < self.mu < self.L:
             raise ValueError("sector requires 0 < mu < L")
         if self.delta < 0.0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -66,6 +67,11 @@ class MethodSpec:
         self._validate()
 
     def _validate(self):
+        for f in fields(self)[1:]:  # every field after family is numeric
+            value = getattr(self, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if value is not None and not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{f.name} must be finite")
         if self.eta is not None and not self.eta > 0:
             raise ValueError("eta must be positive")
         if self.family == "gogd":
@@ -78,8 +84,6 @@ class MethodSpec:
                 raise ValueError("kp must be nonnegative")
             if not self.ki > 0:
                 raise ValueError("ki must be positive")
-            if not np.isfinite(self.kd):
-                raise ValueError("kd must be finite")
         if self.family in ("hgd", "general"):
             if len(self.a) < 1:
                 raise ValueError("horizon must be at least 1")

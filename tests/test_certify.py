@@ -413,39 +413,12 @@ def test_best_rate_decides_stability_once_per_probe(monkeypatch):
     assert len(schur) == len(scales)
 
 
-def _family_corpus(seed):
-    """Two seeded methods of each of the nine families, with the
-    allow_improper flag each needs, spread over their certifiable ranges."""
-    rng = np.random.default_rng(seed)
-    u = lambda lo, hi: float(rng.uniform(lo, hi))
-
-    def weights(n):
-        return tuple(float(v) for v in rng.dirichlet(np.ones(n)))
-
-    out = []
-    for i in range(2):
-        out += [
-            (MethodSpec("gd", eta=u(0.05, 0.45)), False),
-            (MethodSpec("ogd", eta=u(0.01, 0.16)), False),
-            (MethodSpec("gogd", alpha=u(0.05, 0.25), beta=u(0.0, 0.1)), False),
-            (MethodSpec("pp", eta=u(0.1, 4.0)), True),
-            (MethodSpec("pid", kp=u(0.02, 0.1), ki=u(0.05, 0.25), kd=u(-0.05, 0.02)),
-             True),
-            (MethodSpec("hgd", eta=u(0.02, 0.3), a=weights(2 + i)), False),
-            (MethodSpec("general", eta=u(0.05, 0.6), a=weights(2 + i), b=weights(2 + i)),
-             False),
-            (MethodSpec("pegd", eta=u(0.02, 0.16)), False),
-            (MethodSpec("rgd", eta=u(0.02, 0.16)), False),
-        ]
-    return out
-
-
 @pytest.mark.parametrize("delta", [0.0, 0.04])
-def test_certification_is_monotone_above_best_rate(delta):
+def test_certification_is_monotone_above_best_rate(delta, family_corpus):
     # best_rate's bisection relies on this; see its docstring for the proof
     sector = SectorParams(mu=0.5, L=4.0, delta=delta)
     families = set()
-    for method, allow in _family_corpus(5):
+    for method, allow in family_corpus(5):
         rho = best_rate(method, sector, allow_improper=allow)
         if rho is None:
             continue
@@ -457,7 +430,9 @@ def test_certification_is_monotone_above_best_rate(delta):
     assert len(families) == 9
 
 
-def test_is_schur_matches_the_recursion_on_bisection_probes(monkeypatch, schur_recursion):
+def test_is_schur_matches_the_recursion_on_bisection_probes(
+    monkeypatch, schur_recursion, family_corpus
+):
     # every scaled denominator a best_rate search visits, over all nine families
     loops = []
     scale = certify_mod.rho_scale
@@ -469,7 +444,7 @@ def test_is_schur_matches_the_recursion_on_bisection_probes(monkeypatch, schur_r
     monkeypatch.setattr(certify_mod, "rho_scale", recorded)
     for delta in (0.0, 0.04):
         sector = SectorParams(mu=0.5, L=4.0, delta=delta)
-        for method, allow in _family_corpus(5):
+        for method, allow in family_corpus(5):
             best_rate(method, sector, allow_improper=allow)
     checked = disagree = 0
     for loop in loops:

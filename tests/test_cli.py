@@ -60,6 +60,17 @@ def test_certify_schema_violations(tmp_path):
     assert main(["certify", "--config", cfg]) == 1
 
 
+def test_certify_rejects_non_finite_config_values(tmp_path, capsys):
+    # JSON 1e999 parses to inf; the spec rejects it before any root finding
+    path = tmp_path / "inf.json"
+    path.write_text(
+        '{"method": {"family": "hgd", "eta": 0.1, "a": [1e999]},'
+        ' "sector": {"mu": 0.5, "L": 4}, "rho": 0.9}'
+    )
+    assert main(["certify", "--config", str(path)]) == 1
+    assert "a must be finite" in capsys.readouterr().err
+
+
 def test_certify_improper_flag(tmp_path, capsys):
     cfg = _write(
         tmp_path,

@@ -169,6 +169,13 @@ def test_sector_params_validation():
     assert_allclose(SectorParams(0.5, 4.0).kappa_inv, 0.125)
 
 
+@pytest.mark.parametrize("mu,L,delta", [(0.5, 4.0, np.nan), (0.5, np.inf, 0.0), (np.nan, 4.0, 0.0)])
+def test_sector_params_reject_non_finite_values(mu, L, delta):
+    # a nan delta used to pass every comparison and leave each method uncertified
+    with pytest.raises(ValueError, match="finite"):
+        SectorParams(mu, L, delta)
+
+
 def test_operator_json_round_trip():
     ops = [
         scalar_noncvx(),

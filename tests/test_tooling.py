@@ -6,6 +6,12 @@ from pathlib import Path
 
 import numpy
 
+from freqcert.certify import _scaled_loop
+from freqcert.dynamics import run
+from freqcert.gain import hinf_norm
+from freqcert.operators import SectorParams, diagonal_quadratic
+from freqcert.transfer import MethodSpec
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -38,3 +44,14 @@ def test_tracer_installs_on_every_site_and_restores_them():
     for (module_name, path), raw in before.items():
         owner, attr = tracer_mod._resolve(module_name, path)
         assert owner.__dict__[attr] is raw, path
+
+
+def test_tracer_counter_hooks_read_real_calls():
+    # the hooks read library names and result fields a traced run records
+    tracer_mod = _load_tracer()
+    loop = _scaled_loop(MethodSpec("ogd", eta=0.1), SectorParams(0.5, 4.0), 0.95)
+    counters = tracer_mod._grid_points((loop,), {}, hinf_norm(loop))
+    assert counters["gain.grid_points"] > 0
+
+    traj = run(MethodSpec("gd", eta=0.2), diagonal_quadratic([0.5, 4.0]), [1.0, 1.0], 25)
+    assert tracer_mod._steps((), {}, traj) == {"dynamics.steps": 25}

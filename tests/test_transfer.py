@@ -252,6 +252,21 @@ def test_method_spec_json_round_trip():
         assert MethodSpec.from_json(m.to_json()) == m
 
 
+@pytest.mark.parametrize(
+    "family,kwargs",
+    [
+        ("hgd", dict(eta=0.1, a=(np.nan,))),
+        ("general", dict(eta=0.1, a=(1.0, 0.0), b=(np.nan, 1.0))),
+        ("gd", dict(eta=np.inf)),
+        ("gogd", dict(alpha=0.1, beta=np.inf)),
+        ("pid", dict(kp=0.1, ki=0.2, kd=np.nan)),
+    ],
+)
+def test_method_spec_rejects_non_finite_values(family, kwargs):
+    with pytest.raises(ValueError, match="must be finite"):
+        MethodSpec(family, **kwargs)
+
+
 def test_method_spec_rejects_unknown_fields():
     with pytest.raises(ValueError):
         MethodSpec.from_json({"family": "gd", "eta": 0.1, "gamma": 3})
