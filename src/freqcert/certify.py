@@ -91,31 +91,35 @@ def _shift(sector: SectorParams) -> float:
     return (sector.mu + sector.L) / 2.0
 
 
-def _scaled_loop(method: MethodSpec, sector: SectorParams, rho: float) -> RationalTF:
+def _shifted_loop(method: MethodSpec, sector: SectorParams) -> tuple[RationalTF, RationalTF]:
+    """The method's K and its shifted loop K' = K/(1 - hK), ready for rho scaling."""
     k = build_transfer(method)
-    return rho_scale(complementary_sensitivity(k, _shift(sector)), rho)
+    return k, complementary_sensitivity(k, _shift(sector))
 
 
-def _stable_gain(loop: RationalTF) -> float | None:
-    """Gain of a scaled loop, or None when its denominator is not Schur-stable."""
+def _certified_at(
+    shifted: RationalTF, rho: float, threshold: float
+) -> tuple[bool, float | None]:
+    """The stability and gain checks of one probe: whether the loop scaled by
+    rho is Schur-stable with gain below ``threshold``, and that gain (None
+    when unstable). Properness is the caller's third check."""
     try:
-        gain, _ = hinf_norm(loop)
+        gain, _ = hinf_norm(rho_scale(shifted, rho))
     except UnstableSystemError:
-        return None
-    return gain
+        return False, None
+    return gain < threshold, gain
 
 
 def certify(q: CertificationQuery) -> CertificationResult:
     """Run the full pipeline: properness, stability, gain, threshold."""
-    k = build_transfer(q.method)
+    k, shifted = _shifted_loop(q.method, q.sector)
     proper_ok = k.strictly_proper or q.allow_non_strictly_proper
-    loop = rho_scale(complementary_sensitivity(k, _shift(q.sector)), q.rho)
-    gain = _stable_gain(loop)
-    stable_ok = gain is not None
     threshold = gain_threshold(q.sector)
+    gain_ok, gain = _certified_at(shifted, q.rho, threshold)
+    stable_ok = gain is not None
     margin = None if gain is None else threshold - gain
 
-    certified = bool(proper_ok and stable_ok and gain < threshold)
+    certified = bool(proper_ok and gain_ok)
     if not proper_ok:
         diagnostics = "transfer function is not strictly proper"
     elif not stable_ok:
@@ -138,11 +142,10 @@ def certify(q: CertificationQuery) -> CertificationResult:
 def best_rate(
     method: MethodSpec,
     sector: SectorParams,
-    tol: float = RHO_TOL,
     allow_improper: bool = False,
 ) -> float | None:
-    """Smallest certified rate, by bisection; None when nothing certifies
-    even arbitrarily close to 1.
+    """Smallest certified rate, to width ``RHO_TOL``, by bisection; None when
+    nothing certifies even arbitrarily close to 1.
 
     The shifted loop is built once; each probe only rescales it by rho and
     runs the stability and gain checks, exactly as :func:`certify` would.
@@ -156,25 +159,19 @@ def best_rate(
     ``test_certification_is_monotone_above_best_rate`` checks this on all
     nine families.
     """
-    k = build_transfer(method)
-    shifted = complementary_sensitivity(k, _shift(sector))
+    k, shifted = _shifted_loop(method, sector)
     if not (k.strictly_proper or allow_improper):
         return None
     threshold = gain_threshold(sector)
-
-    def certified_at(rho: float) -> bool:
-        gain = _stable_gain(rho_scale(shifted, rho))
-        return gain is not None and gain < threshold
-
     hi = RHO_PROBE
-    if not certified_at(hi):
+    if not _certified_at(shifted, hi, threshold)[0]:
         return None
-    lo = min(tol, 1e-6)
-    if certified_at(lo):
+    lo = RHO_TOL
+    if _certified_at(shifted, lo, threshold)[0]:
         return lo
-    while hi - lo > tol:
+    while hi - lo > RHO_TOL:
         mid = 0.5 * (lo + hi)
-        if certified_at(mid):
+        if _certified_at(shifted, mid, threshold)[0]:
             hi = mid
         else:
             lo = mid
@@ -184,22 +181,20 @@ def best_rate(
 def max_learning_rate(
     method: MethodSpec,
     sector: SectorParams,
-    tol: float | None = None,
     allow_improper: bool = False,
 ) -> float | None:
-    """Largest step size (to width ``tol``) whose method still certifies at
-    some rate below 1. ``method`` acts as a template; its ``eta`` field is
-    swept over (0, 4/mu]. Returns None when no step size certifies."""
+    """Largest step size, to width 1e-6 / L, whose method still certifies at
+    ``RHO_PROBE``. ``method`` acts as a template; its ``eta`` field is swept
+    over (0, 4/mu]. Returns None when no step size certifies."""
     if method.eta is None:
         raise ValueError("method family must carry a learning-rate field")
-    if tol is None:
-        tol = 1e-6 / sector.L
+    tol = 1e-6 / sector.L
+    threshold = gain_threshold(sector)
 
     def certifiable(eta: float) -> bool:
-        q = CertificationQuery(
-            replace(method, eta=eta), sector, RHO_PROBE, allow_improper
-        )
-        return certify(q).certified
+        k, shifted = _shifted_loop(replace(method, eta=eta), sector)
+        certified, _ = _certified_at(shifted, RHO_PROBE, threshold)
+        return certified and (k.strictly_proper or allow_improper)
 
     cap = 4.0 / sector.mu
     if certifiable(cap):
@@ -278,7 +273,7 @@ def circle_criterion(
     condition: stable and every sample strictly inside the sector disk."""
     if n_points < 64:
         raise ValueError("need at least 64 sample points")
-    loop = _scaled_loop(method, sector, rho)
+    loop = rho_scale(_shifted_loop(method, sector)[1], rho)
     den = Polynomial(loop.den)
     stable = den.degree < 1 or is_schur(den, 0.0)
     disk = sector_disk(sector)

@@ -23,7 +23,7 @@ from .certify import (
 )
 from .dynamics import NoiseAdversary, run
 from .games import spectrum_curve
-from .operators import OperatorSpec, SectorParams
+from .operators import OperatorSpec, SectorParams, json_number, json_numbers
 from .transfer import MethodSpec, build_transfer, tf_equal
 
 EXIT_OK = 0
@@ -60,7 +60,7 @@ def cmd_certify(args) -> int:
     query = CertificationQuery(
         method=MethodSpec.from_json(cfg["method"]),
         sector=SectorParams.from_json(cfg["sector"]),
-        rho=float(cfg["rho"]),
+        rho=json_number(cfg["rho"], "rho"),
         allow_non_strictly_proper=bool(cfg.get("allow_improper", False))
         or args.allow_improper,
     )
@@ -94,7 +94,7 @@ def cmd_nyquist(args) -> int:
     cfg = _load_config(args.config, {"method", "sector"}, {"rho"})
     method = MethodSpec.from_json(cfg["method"])
     sector = SectorParams.from_json(cfg["sector"])
-    rho = float(cfg.get("rho", 1.0))
+    rho = json_number(cfg.get("rho", 1.0), "rho")
     _, samples = circle_criterion(method, sector, rho=rho, n_points=args.points)
     disk = sector_disk(sector)
     lines = ["omega,re,im,inside_disk"]
@@ -130,17 +130,18 @@ def cmd_simulate(args) -> int:
     op = OperatorSpec.from_json(cfg["operator"])
     adversary = NoiseAdversary(
         strategy=args.noise_strategy,
-        delta=float(cfg.get("noise_delta", 0.0)),
+        delta=json_number(cfg.get("noise_delta", 0.0), "noise_delta"),
         seed=args.seed,
     )
+    history = cfg.get("history")
     traj = run(
         method,
         op,
-        np.asarray(cfg["x0"], dtype=float),
+        np.asarray(json_numbers(cfg["x0"], "x0"), dtype=float),
         steps=args.steps,
         adversary=adversary,
         mode=cfg.get("mode", "simultaneous"),
-        history=cfg.get("history"),
+        history=None if history is None else json_numbers(history, "history"),
     )
     header = "k,distance"
     if args.per_coordinate:

@@ -63,14 +63,17 @@ def hinf_norm(k: RationalTF) -> tuple[float, float]:
     This is the one place the certification pipeline decides stability: it
     raises :class:`UnstableSystemError` when the denominator is not
     Schur-stable. The maximum of P/Q over x in [-1, 1] lies at x = -1, x = 1
-    or a real root of P'Q - PQ' (Bruinsma and Steinbuch 1990). The ratio is
-    evaluated at both endpoints and at the real part of every root of that
+    or a real root of P'Q - PQ' (Bruinsma and Steinbuch 1990). Those
+    candidates are the endpoints and the real part of every root of that
     Chebyshev series, clipped to [-1, 1]; a spurious candidate is still a
     point of the domain, so it cannot raise the maximum above the true one.
-    The result is a float maximum, not a bound: where Q nearly vanishes at
-    the peak, rounding moves the root and the gain can be underestimated.
-    Returns (gain, omega) with omega = arccos(x*) in [0, pi]; the mirrored
-    frequency attains the same value.
+    Each candidate is read as |N(z)/D(z)| at z = e^(j arccos x), not as P/Q:
+    the Chebyshev sums of the squared profiles cancel where |D| is small,
+    while the Horner sums of N and D lose only eps * sum|d_i| / |D(z)|
+    relative. The result is a float maximum, not a bound: where Q nearly
+    vanishes at the peak, rounding moves the root and the gain can be
+    underestimated. Returns (gain, omega) with omega = arccos(x*) in [0, pi];
+    the mirrored frequency attains the same value.
     """
     den = Polynomial(k.den)
     if den.degree >= 1 and not is_schur(den, 0.0):
@@ -81,6 +84,9 @@ def hinf_norm(k: RationalTF) -> tuple[float, float]:
     q = np.asarray(cr.q)
     slope = C.chebsub(C.chebmul(C.chebder(p), q), C.chebmul(p, C.chebder(q)))
     xs = np.concatenate(([-1.0, 1.0], np.clip(C.chebroots(slope).real, -1.0, 1.0)))
-    vals = C.chebval(xs, p) / C.chebval(xs, q)
+    omegas = np.arccos(xs)
+    z = np.exp(1j * omegas)
+    horner = np.polynomial.polynomial.polyval
+    vals = np.abs(horner(z, k.num) / horner(z, k.den))
     i = int(np.argmax(vals))
-    return float(np.sqrt(max(vals[i], 0.0))), float(np.arccos(xs[i]))
+    return float(vals[i]), float(omegas[i])

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import coupling_singular_values
+
 # roots stays bound here: the benchmark tracer counts freqcert.games.roots
 from .stability import Polynomial, roots, spectral_radius_poly  # noqa: F401
 
@@ -30,15 +32,10 @@ class BilinearGame:
 
     @classmethod
     def from_matrix(cls, matrix) -> "BilinearGame":
-        A = np.asarray(matrix, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("coupling matrix must be square")
-        sv = np.linalg.svd(A, compute_uv=False)
-        if sv[-1] <= 1e-12 * max(1.0, sv[0]):
-            raise ValueError("coupling matrix must be non-singular")
+        sv = coupling_singular_values(matrix)
         # the eigenvalues of AA' are the squared singular values of A
         return cls(
-            A=tuple(tuple(row) for row in A),
+            A=tuple(tuple(row) for row in np.asarray(matrix, dtype=float)),
             gamma=float(sv[0]),
             eigs_AAT=tuple(sorted(float(s * s) for s in sv)),
         )

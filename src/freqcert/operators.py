@@ -13,6 +13,39 @@ _SING_TOL = 1e-12
 KINDS = ("diagonal-quadratic", "scalar-noncvx", "bilinear", "minmax-quadratic")
 
 
+def json_number(value, name: str) -> float:
+    """A config value that must be a JSON number; strings and booleans are
+    rejected rather than coerced by ``float``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a JSON number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError(f"{name} must be a JSON number in the float range") from None
+
+
+def json_numbers(value, name: str) -> tuple:
+    """A config value that must be a JSON list of numbers, or of such lists
+    for a matrix, as (nested) tuples of floats."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON list, not {value!r}")
+    return tuple(
+        json_numbers(v, name) if isinstance(v, list) else json_number(v, name) for v in value
+    )
+
+
+def coupling_singular_values(matrix) -> np.ndarray:
+    """Singular values of a bilinear coupling matrix, largest first; rejects a
+    matrix that is not square or not non-singular."""
+    A = np.asarray(matrix, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("coupling matrix must be square")
+    sv = np.linalg.svd(A, compute_uv=False)
+    if sv[-1] <= _SING_TOL * max(1.0, sv[0]):
+        raise ValueError("coupling matrix must be non-singular")
+    return sv
+
+
 @dataclass(frozen=True)
 class SectorParams:
     """Sector description of an operator class: strong monotonicity modulus
@@ -44,9 +77,9 @@ class SectorParams:
         if "mu" not in data or "L" not in data:
             raise ValueError("sector requires fields 'mu' and 'L'")
         return cls(
-            mu=float(data["mu"]),
-            L=float(data["L"]),
-            delta=float(data.get("delta", 0.0)),
+            mu=json_number(data["mu"], "mu"),
+            L=json_number(data["L"], "L"),
+            delta=json_number(data.get("delta", 0.0), "delta"),
         )
 
     def to_json(self) -> dict:
@@ -87,14 +120,9 @@ class OperatorSpec:
             if self.dimension != 1 or any(v != 0.0 for v in self.fixed_point):
                 raise ValueError("scalar operator is one-dimensional with fixed point 0")
         elif self.kind == "bilinear":
-            A = np.asarray(self.matrix, dtype=float)
-            if A.ndim != 2 or A.shape[0] != A.shape[1]:
-                raise ValueError("coupling matrix must be square")
-            if self.dimension != 2 * A.shape[0]:
+            sv = coupling_singular_values(self.matrix)
+            if self.dimension != 2 * sv.size:
                 raise ValueError("dimension must be twice the coupling size")
-            sv = np.linalg.svd(A, compute_uv=False)
-            if sv[-1] <= _SING_TOL * max(1.0, sv[0]):
-                raise ValueError("coupling matrix must be non-singular")
             if any(v != 0.0 for v in self.fixed_point):
                 raise ValueError("bilinear fixed point is the origin")
         elif self.kind == "minmax-quadratic":
@@ -130,8 +158,11 @@ class OperatorSpec:
             unknown = set(data) - {"kind", "spectrum", "fixed_point"}
             if unknown:
                 raise ValueError(f"unknown operator fields {sorted(unknown)}")
+            fixed_point = data.get("fixed_point")
             return diagonal_quadratic(
-                data["spectrum"], fixed_point=data.get("fixed_point")
+                json_numbers(data["spectrum"], "spectrum"),
+                fixed_point=None if fixed_point is None
+                else json_numbers(fixed_point, "fixed_point"),
             )
         if kind == "scalar-noncvx":
             unknown = set(data) - {"kind"}
@@ -142,14 +173,13 @@ class OperatorSpec:
             unknown = set(data) - {"kind", "matrix"}
             if unknown:
                 raise ValueError(f"unknown operator fields {sorted(unknown)}")
-            return bilinear_operator(data["matrix"])
+            return bilinear_operator(json_numbers(data["matrix"], "matrix"))
         if kind == "minmax-quadratic":
             unknown = set(data) - {"kind", "p", "q", "c", "mu"}
             if unknown:
                 raise ValueError(f"unknown operator fields {sorted(unknown)}")
-            return build_minmax_operator(
-                data["p"], data["q"], data["c"], mu=float(data["mu"])
-            )
+            p, q, c = (json_numbers(data[key], key) for key in ("p", "q", "c"))
+            return build_minmax_operator(p, q, c, mu=json_number(data["mu"], "mu"))
         raise ValueError(f"unknown operator kind {kind!r}")
 
     def to_json(self) -> dict:

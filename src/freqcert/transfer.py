@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .operators import json_number, json_numbers
 from .stability import COEFF_TRIM_TOL, trim
 
 EQUAL_TOL = 1e-12
@@ -93,12 +94,6 @@ class MethodSpec:
             if abs(sum(self.b) - 1.0) > EQUAL_TOL:
                 raise ValueError("iterate weights b must sum to 1")
 
-    @property
-    def horizon(self) -> int:
-        if self.a is None:
-            raise ValueError(f"{self.family} has no horizon")
-        return len(self.a)
-
     @classmethod
     def from_json(cls, data: dict) -> "MethodSpec":
         if not isinstance(data, dict):
@@ -114,8 +109,8 @@ class MethodSpec:
         for key in _FAMILY_FIELDS[family]:
             if key not in data:
                 raise ValueError(f"{family} requires field {key!r}")
-            value = data[key]
-            kwargs[key] = tuple(value) if key in ("a", "b") else float(value)
+            read = json_numbers if key in ("a", "b") else json_number
+            kwargs[key] = read(data[key], key)
         return cls(family=family, **kwargs)
 
     def to_json(self) -> dict:

@@ -1,4 +1,5 @@
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from freqcert.certify import (
     closed_form,
     gain_threshold,
     max_learning_rate,
-    _scaled_loop,
+    _shifted_loop,
     sector_disk,
 )
 from freqcert.operators import SectorParams
@@ -335,7 +336,8 @@ def test_best_rate_keeps_the_leading_term_at_small_rho():
 
 def test_scaled_loop_keeps_its_degree():
     method = MethodSpec("general", eta=0.3, a=(0.5, 0.5, 0.0), b=(0.2, 0.3, 0.5))
-    loop = _scaled_loop(method, SECTOR, 1e-5)
+    _, shifted = _shifted_loop(method, SECTOR)
+    loop = rho_scale(shifted, 1e-5)
     assert loop.den_degree == 3
     assert loop.den[-1] == 1.0
 
@@ -411,6 +413,41 @@ def test_best_rate_decides_stability_once_per_probe(monkeypatch):
     assert best_rate(MethodSpec("ogd", eta=1 / 12), SECTOR) is not None
     assert len(scales) > 0
     assert len(schur) == len(scales)
+
+
+def test_max_learning_rate_probes_without_certify(monkeypatch):
+    certifies = _count_calls(monkeypatch, certify_mod, "certify")
+    builds = _count_calls(monkeypatch, certify_mod, "build_transfer")
+    scales = _count_calls(monkeypatch, certify_mod, "rho_scale")
+    gains = _count_calls(monkeypatch, certify_mod, "hinf_norm")
+    assert max_learning_rate(MethodSpec("ogd", eta=1 / 12), SECTOR) is not None
+    assert certifies == []
+    assert len(gains) > 20  # one hinf_norm per probe
+    assert len(builds) == len(scales) == len(gains)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.04])
+def test_search_results_certify(delta, family_corpus):
+    # the rate best_rate returns certifies at that rate, and the step size
+    # max_learning_rate returns certifies at the rate it probes
+    sector = SectorParams(mu=0.5, L=4.0, delta=delta)
+    rated, stepped = set(), set()
+    for method, allow in family_corpus(5):
+        rho = best_rate(method, sector, allow_improper=allow)
+        if rho is not None:
+            res = certify(CertificationQuery(method, sector, rho, allow))
+            assert res.certified, (method, rho, res.diagnostics)
+            rated.add(method.family)
+        if method.eta is None:
+            continue
+        eta = max_learning_rate(method, sector, allow_improper=allow)
+        if eta is not None:
+            step = replace(method, eta=eta)
+            res = certify(CertificationQuery(step, sector, RHO_PROBE, allow))
+            assert res.certified, (step, res.diagnostics)
+            stepped.add(method.family)
+    assert len(rated) == 9
+    assert stepped == {"gd", "ogd", "pp", "hgd", "general", "pegd", "rgd"}
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.04])

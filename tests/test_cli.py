@@ -71,6 +71,39 @@ def test_certify_rejects_non_finite_config_values(tmp_path, capsys):
     assert "a must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "method, sector, rho, field",
+    [
+        ({"family": "gd", "eta": "0.4444"}, {"mu": 0.5, "L": 4}, 0.9, "eta"),
+        ({"family": "gd", "eta": 0.4444}, {"mu": True, "L": 4}, 0.9, "mu"),
+        ({"family": "gd", "eta": 0.4444}, {"mu": 0.5, "L": 4}, "0.9", "rho"),
+        ({"family": "hgd", "eta": 0.1, "a": "12"}, {"mu": 0.5, "L": 4}, 0.9, "a"),
+        ({"family": "gd", "eta": 10**400}, {"mu": 0.5, "L": 4}, 0.9, "eta"),
+    ],
+)
+def test_certify_accepts_only_json_numbers(tmp_path, capsys, method, sector, rho, field):
+    # strings, booleans, a string standing in for a list and an integer
+    # beyond the float range exit with 1 instead of being coerced
+    cfg = _write(tmp_path, "typed.json", {"method": method, "sector": sector, "rho": rho})
+    assert main(["certify", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must be a JSON")
+
+
+def test_simulate_accepts_only_json_numbers(tmp_path, capsys):
+    base = {"method": {"family": "gd", "eta": 0.3}, "operator": {"kind": "scalar-noncvx"},
+            "x0": [0.1]}
+    bad = [
+        ("x0", {**base, "x0": ["0.1"]}),
+        ("noise_delta", {**base, "noise_delta": "0.05"}),
+        ("spectrum", {**base, "operator": {"kind": "diagonal-quadratic", "spectrum": "45"}}),
+    ]
+    for field, payload in bad:
+        cfg = _write(tmp_path, "sim.json", payload)
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--config", cfg, "--steps", "5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} must be a JSON")
+
+
 def test_certify_improper_flag(tmp_path, capsys):
     cfg = _write(
         tmp_path,

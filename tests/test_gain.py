@@ -276,3 +276,26 @@ def test_gain_matches_a_40_digit_reference_on_all_families(family_corpus):
             kappa = np.sum(np.abs(q)) / C.chebval(np.cos(omega), q)
             assert abs(gain - want) <= (1e-10 + eps * kappa) * want, (method, frac)
     assert len(families) == 9
+
+
+def test_gain_is_within_the_horner_floor_of_the_reference(family_corpus):
+    # the gain reads |N/D| at the candidate, so its error is bounded by the
+    # Horner rounding of D there, eps * sum|d_i| / |D(e^{j omega*})|; near a
+    # real pole this is the square root of the profile's floor above
+    eps = np.finfo(float).eps
+    checked = 0
+    for method, _ in family_corpus(5):
+        shifted = complementary_sensitivity(build_transfer(method), 2.25)
+        den = Polynomial(shifted.den)
+        radius = spectral_radius_poly(den) if den.degree >= 1 else 0.0
+        if radius >= 1.0:
+            continue
+        for frac in (1e-4, 1e-2, 0.1, 0.5):
+            loop = rho_scale(shifted, radius + (1.0 - radius) * frac)
+            gain, omega = hinf_norm(loop)
+            want = _reference_gain(loop)
+            d_star = np.polynomial.polynomial.polyval(np.exp(1j * omega), loop.den)
+            kappa = np.sum(np.abs(loop.den)) / abs(d_star)
+            assert abs(gain - want) <= (1e-10 + eps * kappa) * want, (method, frac)
+            checked += 1
+    assert checked == 72

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import numpy
 
-from freqcert.certify import _scaled_loop
+from freqcert.certify import _shifted_loop
 from freqcert.dynamics import run
 from freqcert.gain import hinf_norm
 from freqcert.operators import SectorParams, diagonal_quadratic
-from freqcert.transfer import MethodSpec
+from freqcert.transfer import MethodSpec, rho_scale
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -49,7 +49,8 @@ def test_tracer_installs_on_every_site_and_restores_them():
 def test_tracer_counter_hooks_read_real_calls():
     # the hooks read library names and result fields a traced run records
     tracer_mod = _load_tracer()
-    loop = _scaled_loop(MethodSpec("ogd", eta=0.1), SectorParams(0.5, 4.0), 0.95)
+    _, shifted = _shifted_loop(MethodSpec("ogd", eta=0.1), SectorParams(0.5, 4.0))
+    loop = rho_scale(shifted, 0.95)
     counters = tracer_mod._grid_points((loop,), {}, hinf_norm(loop))
     assert counters["gain.grid_points"] > 0
 
