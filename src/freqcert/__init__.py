@@ -3,16 +3,15 @@
 from .certify import (
     CertificationQuery,
     CertificationResult,
-    Disk,
     best_rate,
     certify,
-    circle_criterion,
     closed_form,
+    frequency_response,
     gain_threshold,
     max_learning_rate,
 )
 from .dynamics import NoiseAdversary, Trajectory, apply_noise, estimate_rate, run
-from .gain import CosRational, hinf_norm, magnitude_squared_as_cos_rational
+from .gain import cos_power_profile, hinf_norm
 from .games import (
     BilinearGame,
     alt_char_poly,

@@ -14,7 +14,8 @@ import numpy as np
 
 from .gain import UnstableSystemError, hinf_norm
 from .operators import SectorParams
-from .stability import Polynomial, is_schur
+# is_schur stays bound here: the benchmark tracer wraps freqcert.certify.is_schur
+from .stability import is_schur  # noqa: F401
 from .transfer import (
     MethodSpec,
     RationalTF,
@@ -63,28 +64,9 @@ class CertificationResult:
         }
 
 
-@dataclass(frozen=True)
-class Disk:
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
-
-    def contains(self, z: complex) -> bool:
-        return abs(complex(z) - self.center) < self.radius
-
-
 def gain_threshold(sector: SectorParams) -> float:
     """Largest admissible controller gain over the (noisy) sector."""
     return 1.0 / ((sector.L - sector.mu) / 2.0 + sector.L * sector.delta)
-
-
-def sector_disk(sector: SectorParams) -> Disk:
-    """Origin-centered disk the shifted controller's frequency response must
-    stay inside; its radius equals :func:`gain_threshold`."""
-    return Disk(center=0.0, radius=gain_threshold(sector))
 
 
 def _shift(sector: SectorParams) -> float:
@@ -139,6 +121,18 @@ def certify(q: CertificationQuery) -> CertificationResult:
     )
 
 
+def _bisect(certified, good: float, bad: float, width: float) -> float:
+    """Halve the bracket between a certified ``good`` and an uncertified
+    ``bad`` until they lie within ``width``; returns the certified end."""
+    while abs(good - bad) > width:
+        mid = 0.5 * (good + bad)
+        if certified(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
 def best_rate(
     method: MethodSpec,
     sector: SectorParams,
@@ -149,8 +143,9 @@ def best_rate(
 
     The shifted loop is built once; each probe only rescales it by rho and
     runs the stability and gain checks, exactly as :func:`certify` would.
-    The returned rate certifies, since ``hi`` only ever moves to a certified
-    probe. Bisection needs certification to be monotone in rho, and it is.
+    The returned rate certifies, since :func:`_bisect` moves its certified
+    end only to a certified probe. Bisection needs certification to be
+    monotone in rho, and it is.
     Let N/D be the shifted loop and gamma the gain threshold. Certified at r
     means |delta N| < |D| on |z| = r for every |delta| <= 1/gamma, so by
     Rouche's theorem D + delta N has no root with |z| >= r. A point z with
@@ -163,19 +158,15 @@ def best_rate(
     if not (k.strictly_proper or allow_improper):
         return None
     threshold = gain_threshold(sector)
-    hi = RHO_PROBE
-    if not _certified_at(shifted, hi, threshold)[0]:
+
+    def certified(rho: float) -> bool:
+        return _certified_at(shifted, rho, threshold)[0]
+
+    if not certified(RHO_PROBE):
         return None
-    lo = RHO_TOL
-    if _certified_at(shifted, lo, threshold)[0]:
-        return lo
-    while hi - lo > RHO_TOL:
-        mid = 0.5 * (lo + hi)
-        if _certified_at(shifted, mid, threshold)[0]:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    if certified(RHO_TOL):
+        return RHO_TOL
+    return _bisect(certified, RHO_PROBE, RHO_TOL, RHO_TOL)
 
 
 def max_learning_rate(
@@ -199,24 +190,13 @@ def max_learning_rate(
     cap = 4.0 / sector.mu
     if certifiable(cap):
         return cap
-    hi = cap
-    eta = cap
-    lo = None
+    bad = eta = cap
     for _ in range(80):
         eta /= 2.0
         if certifiable(eta):
-            lo = eta
-            break
-        hi = eta
-    if lo is None:
-        return None
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if certifiable(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+            return _bisect(certifiable, eta, bad, tol)
+        bad = eta
+    return None
 
 
 def _close(x: float, y: float) -> bool:
@@ -263,21 +243,17 @@ def closed_form(method: MethodSpec, sector: SectorParams) -> float | None:
     return None
 
 
-def circle_criterion(
+def frequency_response(
     method: MethodSpec,
     sector: SectorParams,
     rho: float = 1.0,
     n_points: int = 256,
-) -> tuple[bool, list[tuple[float, complex]]]:
-    """Sample the shifted controller on the unit circle and test the disk
-    condition: stable and every sample strictly inside the sector disk."""
+) -> list[tuple[float, complex]]:
+    """Samples (omega, K'(e^{j omega})) of the shifted loop scaled by rho, at
+    ``n_points`` frequencies evenly spaced over [-pi, pi]. They are what
+    ``freqcert nyquist`` prints; only :func:`certify` decides a rate."""
     if n_points < 64:
         raise ValueError("need at least 64 sample points")
     loop = rho_scale(_shifted_loop(method, sector)[1], rho)
-    den = Polynomial(loop.den)
-    stable = den.degree < 1 or is_schur(den, 0.0)
-    disk = sector_disk(sector)
     omegas = np.linspace(-np.pi, np.pi, n_points)
-    samples = [(float(w), evaluate(loop, np.exp(1j * w))) for w in omegas]
-    passes = stable and all(disk.contains(v) for _, v in samples)
-    return passes, samples
+    return [(float(w), evaluate(loop, np.exp(1j * w))) for w in omegas]

@@ -18,8 +18,8 @@ from .certify import (
     CertificationQuery,
     best_rate,
     certify,
-    circle_criterion,
-    sector_disk,
+    frequency_response,
+    gain_threshold,
 )
 from .dynamics import NoiseAdversary, run
 from .games import spectrum_curve
@@ -49,6 +49,13 @@ def _load_config(path: str, required: set, optional: set) -> dict:
     return cfg
 
 
+def _allow_improper(cfg: dict, args) -> bool:
+    flag = cfg.get("allow_improper", False)
+    if not isinstance(flag, bool):
+        raise ValueError("allow_improper must be true or false")
+    return flag or args.allow_improper
+
+
 def _write_lines(path: str, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
@@ -61,8 +68,7 @@ def cmd_certify(args) -> int:
         method=MethodSpec.from_json(cfg["method"]),
         sector=SectorParams.from_json(cfg["sector"]),
         rho=json_number(cfg["rho"], "rho"),
-        allow_non_strictly_proper=bool(cfg.get("allow_improper", False))
-        or args.allow_improper,
+        allow_non_strictly_proper=_allow_improper(cfg, args),
     )
     result = certify(query)
     print(json.dumps(result.to_json(), sort_keys=True))
@@ -75,7 +81,7 @@ def cmd_sweep(args) -> int:
     if method.eta is None:
         raise ValueError("sweep requires a method family with an eta field")
     sector = SectorParams.from_json(cfg["sector"])
-    allow = bool(cfg.get("allow_improper", False)) or args.allow_improper
+    allow = _allow_improper(cfg, args)
     if args.eta_steps < 1:
         raise ValueError("eta-steps must be at least 1")
     if not 0 < args.eta_min <= args.eta_max:
@@ -95,11 +101,11 @@ def cmd_nyquist(args) -> int:
     method = MethodSpec.from_json(cfg["method"])
     sector = SectorParams.from_json(cfg["sector"])
     rho = json_number(cfg.get("rho", 1.0), "rho")
-    _, samples = circle_criterion(method, sector, rho=rho, n_points=args.points)
-    disk = sector_disk(sector)
+    samples = frequency_response(method, sector, rho=rho, n_points=args.points)
+    radius = gain_threshold(sector)
     lines = ["omega,re,im,inside_disk"]
     for omega, value in samples:
-        inside = 1 if disk.contains(value) else 0
+        inside = 1 if abs(value) < radius else 0
         lines.append(f"{_fmt(omega)},{_fmt(value.real)},{_fmt(value.imag)},{inside}")
     _write_lines(args.out, lines)
     return EXIT_OK
@@ -191,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("nyquist", help="frequency response samples with disk verdicts")
+    p = sub.add_parser("nyquist", help="frequency response samples (inside_disk is a plot aid)")
     p.add_argument("--config", required=True)
     p.add_argument("--points", type=int, default=256)
     p.add_argument("--out", required=True)

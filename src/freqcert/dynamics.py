@@ -33,8 +33,6 @@ class NoiseAdversary:
     seed: int = 0
 
     def __post_init__(self):
-        name = "random" if self.strategy == "seeded_random" else self.strategy
-        object.__setattr__(self, "strategy", name)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown noise strategy {self.strategy!r}")
         if self.delta < 0:

@@ -9,8 +9,6 @@ magnitude over all frequencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
@@ -26,35 +24,15 @@ class UnstableSystemError(ValueError):
     """The gain is asked of a system whose denominator is not Schur-stable."""
 
 
-@dataclass(frozen=True)
-class CosRational:
-    """Ratio P(x)/Q(x) equal to |K(e^{j omega})|^2 under x = cos(omega).
-
-    ``p`` and ``q`` hold Chebyshev-series coefficients in x, for
-    ``numpy.polynomial.chebyshev``. Q has no real root in [-1, 1] whenever the
-    source denominator is Schur-stable, so the ratio is finite on the whole
-    domain.
-    """
-
-    p: tuple[float, ...]
-    q: tuple[float, ...]
-
-
-def _cos_power_profile(coeffs) -> np.ndarray:
-    """|sum_k c_k e^{jk omega}|^2 as Chebyshev coefficients in cos(omega)."""
+def cos_power_profile(coeffs) -> np.ndarray:
+    """|sum_k c_k e^{jk omega}|^2 as Chebyshev coefficients in x = cos(omega),
+    for ``numpy.polynomial.chebyshev``."""
     c = np.asarray(coeffs, dtype=float)
     # Chebyshev coefficient m collects c_k c_l over |k - l| = m: the
     # autocorrelation at lag m, counted once for m = 0 and twice otherwise.
     cheb = np.correlate(c, c, "full")[c.size - 1:]
     cheb[1:] *= 2.0
     return cheb
-
-
-def magnitude_squared_as_cos_rational(k: RationalTF) -> CosRational:
-    return CosRational(
-        p=tuple(_cos_power_profile(k.num)),
-        q=tuple(_cos_power_profile(k.den)),
-    )
 
 
 def hinf_norm(k: RationalTF) -> tuple[float, float]:
@@ -76,12 +54,11 @@ def hinf_norm(k: RationalTF) -> tuple[float, float]:
     the mirrored frequency attains the same value.
     """
     den = Polynomial(k.den)
-    if den.degree >= 1 and not is_schur(den, 0.0):
+    if den.degree >= 1 and not is_schur(den):
         raise UnstableSystemError("gain undefined for unstable system")
 
-    cr = magnitude_squared_as_cos_rational(k)
-    p = np.asarray(cr.p)
-    q = np.asarray(cr.q)
+    p = cos_power_profile(k.num)
+    q = cos_power_profile(k.den)
     slope = C.chebsub(C.chebmul(C.chebder(p), q), C.chebmul(p, C.chebder(q)))
     xs = np.concatenate(([-1.0, 1.0], np.clip(C.chebroots(slope).real, -1.0, 1.0)))
     omegas = np.arccos(xs)

@@ -62,8 +62,8 @@ def spectral_radius_poly(p: Polynomial) -> float:
     return max(abs(r) for r in roots(p))
 
 
-def is_schur(p: Polynomial, margin: float = 0.0) -> bool:
-    """True when every root of ``p`` lies strictly inside radius 1 - margin.
+def is_schur(p: Polynomial) -> bool:
+    """True when every root of ``p`` lies strictly inside the unit circle.
 
     The verdict comes from the largest root magnitude alone. Roots within
     ``MARGINAL_ROOT_BAND`` of the boundary are classified as unstable so
@@ -72,8 +72,5 @@ def is_schur(p: Polynomial, margin: float = 0.0) -> bool:
     """
     if p.degree < 1:
         raise ValueError("stability test needs degree >= 1")
-    if not 0.0 <= margin < 1.0:
-        raise ValueError("margin must lie in [0, 1)")
-    limit = 1.0 - margin
     radius = spectral_radius_poly(p)
-    return radius < limit and abs(radius - limit) > MARGINAL_ROOT_BAND
+    return radius < 1.0 and abs(radius - 1.0) > MARGINAL_ROOT_BAND

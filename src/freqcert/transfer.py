@@ -12,20 +12,6 @@ from .stability import COEFF_TRIM_TOL, trim
 
 EQUAL_TOL = 1e-12
 
-# family -> fields the JSON schema requires for it
-_FAMILY_FIELDS = {
-    "gd": ("eta",),
-    "ogd": ("eta",),
-    "gogd": ("alpha", "beta"),
-    "pp": ("eta",),
-    "pid": ("kp", "ki", "kd"),
-    "hgd": ("eta", "a"),
-    "general": ("eta", "a", "b"),
-    "pegd": ("eta",),
-    "rgd": ("eta",),
-}
-
-
 @dataclass(frozen=True)
 class MethodSpec:
     """Algebraic description of a first-order method.
@@ -49,9 +35,9 @@ class MethodSpec:
     b: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.family not in _FAMILY_FIELDS:
+        if self.family not in _FAMILIES:
             raise ValueError(f"unknown method family {self.family!r}")
-        required = _FAMILY_FIELDS[self.family]
+        required = _FAMILIES[self.family][0]
         for f in fields(self):
             if f.name == "family":
                 continue
@@ -99,14 +85,14 @@ class MethodSpec:
         if not isinstance(data, dict):
             raise ValueError("method spec must be an object")
         family = data.get("family")
-        if family not in _FAMILY_FIELDS:
+        if family not in _FAMILIES:
             raise ValueError(f"unknown method family {family!r}")
-        allowed = set(_FAMILY_FIELDS[family]) | {"family"}
+        allowed = set(_FAMILIES[family][0]) | {"family"}
         unknown = set(data) - allowed
         if unknown:
             raise ValueError(f"unknown method fields {sorted(unknown)}")
         kwargs = {}
-        for key in _FAMILY_FIELDS[family]:
+        for key in _FAMILIES[family][0]:
             if key not in data:
                 raise ValueError(f"{family} requires field {key!r}")
             read = json_numbers if key in ("a", "b") else json_number
@@ -115,7 +101,7 @@ class MethodSpec:
 
     def to_json(self) -> dict:
         out = {"family": self.family}
-        for key in _FAMILY_FIELDS[self.family]:
+        for key in _FAMILIES[self.family][0]:
             value = getattr(self, key)
             out[key] = list(value) if isinstance(value, tuple) else value
         return out
@@ -140,7 +126,13 @@ class RationalTF:
 
     @classmethod
     def from_coeffs(cls, num, den) -> "RationalTF":
-        num = trim(num)
+        # The numerator is cut against its own scale, so a tiny step keeps
+        # every term. The denominator keeps the absolute cut: a relative one
+        # could drop its leading coefficient and with it a huge pole.
+        num = [float(c) for c in num]
+        cut = COEFF_TRIM_TOL * max(map(abs, num), default=0.0)
+        while len(num) > 1 and abs(num[-1]) <= cut:
+            num.pop()
         den = trim(den)
         if abs(den[-1]) <= COEFF_TRIM_TOL:
             raise ValueError("denominator is identically zero")
@@ -191,21 +183,28 @@ class Recursion:
 
     @classmethod
     def of(cls, m: MethodSpec) -> "Recursion":
-        return _RECURSIONS[m.family](m)
+        return _FAMILIES[m.family][1](m)
 
 
-_RECURSIONS = {
-    "gd": lambda m: Recursion((1.0,), (m.eta,)),
-    "ogd": lambda m: Recursion((1.0,), (2.0 * m.eta, -m.eta)),
-    "gogd": lambda m: Recursion((1.0,), (m.alpha + m.beta, -m.beta)),
-    "hgd": lambda m: Recursion((1.0,), tuple(m.eta * ai for ai in m.a)),
-    "general": lambda m: Recursion(m.b, tuple(m.eta * ai for ai in m.a)),
-    "pp": lambda m: Recursion((1.0,), (), implicit=m.eta),
-    "pid": lambda m: Recursion(
-        (1.0,), (-m.kp + m.ki - 2.0 * m.kd, m.kd), implicit=m.kp + m.kd
+# family -> (fields the JSON schema requires for it, its Recursion)
+_FAMILIES = {
+    "gd": (("eta",), lambda m: Recursion((1.0,), (m.eta,))),
+    "ogd": (("eta",), lambda m: Recursion((1.0,), (2.0 * m.eta, -m.eta))),
+    "gogd": (("alpha", "beta"), lambda m: Recursion((1.0,), (m.alpha + m.beta, -m.beta))),
+    "pp": (("eta",), lambda m: Recursion((1.0,), (), implicit=m.eta)),
+    "pid": (
+        ("kp", "ki", "kd"),
+        lambda m: Recursion(
+            (1.0,), (-m.kp + m.ki - 2.0 * m.kd, m.kd), implicit=m.kp + m.kd
+        ),
     ),
-    "pegd": lambda m: Recursion((1.0,), (m.eta,), f=(m.eta,)),
-    "rgd": lambda m: Recursion((1.0,), (m.eta,), e=(2.0, -1.0)),
+    "hgd": (("eta", "a"), lambda m: Recursion((1.0,), tuple(m.eta * ai for ai in m.a))),
+    "general": (
+        ("eta", "a", "b"),
+        lambda m: Recursion(m.b, tuple(m.eta * ai for ai in m.a)),
+    ),
+    "pegd": (("eta",), lambda m: Recursion((1.0,), (m.eta,), f=(m.eta,))),
+    "rgd": (("eta",), lambda m: Recursion((1.0,), (m.eta,), e=(2.0, -1.0))),
 }
 
 

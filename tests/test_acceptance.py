@@ -17,7 +17,7 @@ from freqcert.certify import (
     max_learning_rate,
 )
 from freqcert.dynamics import NoiseAdversary, Trajectory, estimate_rate, run
-from freqcert.gain import hinf_norm, magnitude_squared_as_cos_rational
+from freqcert.gain import cos_power_profile, hinf_norm
 from freqcert.games import BilinearGame, alt_char_poly, bilinear_threshold, sim_char_poly
 from freqcert.operators import (
     SectorParams,
@@ -295,11 +295,10 @@ def test_criterion_10_property_suites(schur_recursion):
             complementary_sensitivity(build_transfer(MethodSpec("ogd", eta=eta)), 2.25),
             0.99,
         )
-        cr = magnitude_squared_as_cos_rational(loop)
         xs = np.linspace(-1, 1, 4096)
         grid_max = np.max(
-            np.polynomial.chebyshev.chebval(xs, np.asarray(cr.p))
-            / np.polynomial.chebyshev.chebval(xs, np.asarray(cr.q))
+            np.polynomial.chebyshev.chebval(xs, cos_power_profile(loop.num))
+            / np.polynomial.chebyshev.chebval(xs, cos_power_profile(loop.den))
         )
         gain, _ = hinf_norm(loop)
         ok &= np.sqrt(grid_max) <= gain * (1 + 1e-12)
@@ -317,8 +316,8 @@ def test_criterion_10_property_suites(schur_recursion):
         radius = spectral_radius_poly(p)
         if abs(radius - 1.0) <= MARGINAL_ROOT_BAND:
             continue
-        verdict = is_schur(p, 0.0)
-        disagree += verdict != schur_recursion(p, 0.0) or verdict != (radius < 1.0)
+        verdict = is_schur(p)
+        disagree += verdict != schur_recursion(p) or verdict != (radius < 1.0)
         checked += 1
     ok &= disagree == 0
     details.append(f"schur-dual disagreements={disagree}")

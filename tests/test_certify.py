@@ -7,17 +7,17 @@ from numpy.testing import assert_allclose
 
 from freqcert.certify import (
     RHO_PROBE,
+    RHO_TOL,
     CertificationQuery,
-    Disk,
     best_rate,
     certify,
-    circle_criterion,
     closed_form,
+    frequency_response,
     gain_threshold,
     max_learning_rate,
     _shifted_loop,
-    sector_disk,
 )
+from freqcert.gain import hinf_norm
 from freqcert.operators import SectorParams
 from freqcert.stability import (
     MARGINAL_ROOT_BAND,
@@ -77,6 +77,27 @@ def test_unstable_loop_reports_without_gain():
     assert not res.stable_ok
     assert res.gain is None and res.margin is None
     assert not res.certified
+
+
+def test_a_pole_far_outside_the_circle_is_not_trimmed_away():
+    # the scaled gd loop's denominator is z + 2e14 here; its monic leading 1
+    # is negligible against the constant, and a loop that dropped it would
+    # have no pole left and certify
+    res = certify(CertificationQuery(MethodSpec("gd", eta=4.4e13), SECTOR, rho=0.5))
+    assert not res.stable_ok
+    assert not res.certified
+
+
+def test_a_huge_pole_of_the_method_is_not_trimmed_away():
+    # the method's denominator has a root near -1e14, so no rate certifies;
+    # the search may also refuse the loop, whose leading 1 is negligible
+    # against 1e14 once shifted
+    method = MethodSpec("general", eta=1e10, a=(0.0, 1.0), b=(-1e14, 1.0 + 1e14))
+    try:
+        rate = best_rate(method, SECTOR)
+    except ValueError:
+        rate = None
+    assert rate is None
 
 
 def test_improper_methods_need_the_flag():
@@ -262,45 +283,31 @@ def test_pid_certifies_identically_to_pp():
         assert a == b
 
 
-def test_circle_criterion_examples():
-    passes, _ = circle_criterion(MethodSpec("ogd", eta=0.25 / 4.0), SECTOR)
-    assert passes
-    passes, samples = circle_criterion(MethodSpec("ogd", eta=0.7 / 4.0), SECTOR)
-    assert not passes
-    disk = sector_disk(SECTOR)
-    assert any(not disk.contains(v) for _, v in samples)
-    passes, samples = circle_criterion(MethodSpec("gd", eta=2 / 4.5), SECTOR)
-    assert passes
+def test_frequency_response_examples():
+    radius = gain_threshold(SECTOR)
+    samples = frequency_response(MethodSpec("ogd", eta=0.25 / 4.0), SECTOR)
+    assert len(samples) == 256
+    assert all(abs(v) < radius for _, v in samples)
+    samples = frequency_response(MethodSpec("ogd", eta=0.7 / 4.0), SECTOR)
+    assert any(abs(v) >= radius for _, v in samples)
+    samples = frequency_response(MethodSpec("gd", eta=2 / 4.5), SECTOR)
     radii = [abs(v) for _, v in samples]
     assert_allclose(radii, 2 / 4.5, rtol=1e-12)  # constant magnitude eta
 
 
-def test_circle_criterion_consistency_with_the_gain():
-    from freqcert.gain import hinf_norm
-    from freqcert.transfer import build_transfer, complementary_sensitivity
-
-    for eta, expect in ((0.25 / 4, True), (0.5 / 4, True), (0.7 / 4, False)):
+def test_frequency_response_never_exceeds_the_gain():
+    # the samples are points of the curve whose supremum hinf_norm returns
+    for eta in (0.25 / 4, 0.5 / 4, 0.7 / 4):
         method = MethodSpec("ogd", eta=eta)
-        passes, _ = circle_criterion(method, SECTOR, n_points=4096)
-        loop = complementary_sensitivity(build_transfer(method), 2.25)
-        gain, _ = hinf_norm(loop)
-        assert passes == (gain < gain_threshold(SECTOR)), eta
-        assert passes == expect
+        peak = max(abs(v) for _, v in frequency_response(method, SECTOR, n_points=4096))
+        gain, _ = hinf_norm(_shifted_loop(method, SECTOR)[1])
+        assert peak <= gain * (1 + 1e-12), eta
+        assert_allclose(peak, gain, rtol=1e-3)
 
 
-def test_circle_criterion_sample_count_validation():
+def test_frequency_response_sample_count_validation():
     with pytest.raises(ValueError):
-        circle_criterion(MethodSpec("gd", eta=0.25), SECTOR, n_points=32)
-
-
-def test_disk_geometry():
-    d = sector_disk(SECTOR)
-    assert d.center == 0.0
-    assert_allclose(d.radius, 2 / 3.5, rtol=1e-15)
-    assert d.contains(0.5)
-    assert not d.contains(0.6)
-    with pytest.raises(ValueError):
-        Disk(center=0.0, radius=0.0)
+        frequency_response(MethodSpec("gd", eta=0.25), SECTOR, n_points=32)
 
 
 def test_query_validation():
@@ -428,16 +435,21 @@ def test_max_learning_rate_probes_without_certify(monkeypatch):
 
 @pytest.mark.parametrize("delta", [0.0, 0.04])
 def test_search_results_certify(delta, family_corpus):
-    # the rate best_rate returns certifies at that rate, and the step size
-    # max_learning_rate returns certifies at the rate it probes
+    # the rate best_rate returns certifies at that rate and, above the first
+    # probe RHO_TOL, not at rate - RHO_TOL; the step size max_learning_rate
+    # returns certifies at the rate it probes
     sector = SectorParams(mu=0.5, L=4.0, delta=delta)
-    rated, stepped = set(), set()
+    rated, tight, stepped = set(), set(), set()
     for method, allow in family_corpus(5):
         rho = best_rate(method, sector, allow_improper=allow)
         if rho is not None:
             res = certify(CertificationQuery(method, sector, rho, allow))
             assert res.certified, (method, rho, res.diagnostics)
             rated.add(method.family)
+            if rho > RHO_TOL:
+                below = certify(CertificationQuery(method, sector, rho - RHO_TOL, allow))
+                assert not below.certified, (method, rho, below.diagnostics)
+                tight.add(method.family)
         if method.eta is None:
             continue
         eta = max_learning_rate(method, sector, allow_improper=allow)
@@ -446,7 +458,7 @@ def test_search_results_certify(delta, family_corpus):
             res = certify(CertificationQuery(step, sector, RHO_PROBE, allow))
             assert res.certified, (step, res.diagnostics)
             stepped.add(method.family)
-    assert len(rated) == 9
+    assert len(rated) == len(tight) == 9
     assert stepped == {"gd", "ogd", "pp", "hgd", "general", "pegd", "rgd"}
 
 
@@ -489,7 +501,7 @@ def test_is_schur_matches_the_recursion_on_bisection_probes(
         if den.degree < 1 or abs(spectral_radius_poly(den) - 1.0) <= MARGINAL_ROOT_BAND:
             continue
         checked += 1
-        disagree += is_schur(den, 0.0) != schur_recursion(den, 0.0)
+        disagree += is_schur(den) != schur_recursion(den)
     assert checked > 500
     assert disagree == 0
 

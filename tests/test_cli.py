@@ -116,6 +116,47 @@ def test_certify_improper_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag, code", [(True, 0), (False, 2), ("false", 1), (0, 1), (1, 1)])
+def test_certify_config_flag_must_be_a_json_boolean(tmp_path, capsys, flag, code):
+    cfg = _write(
+        tmp_path,
+        "pp.json",
+        {
+            "method": {"family": "pp", "eta": 0.5},
+            "sector": {"mu": 0.5, "L": 4},
+            "rho": 0.9,
+            "allow_improper": flag,
+        },
+    )
+    assert main(["certify", "--config", cfg]) == code
+    if code == 1:
+        assert "allow_improper must be true or false" in capsys.readouterr().err
+
+
+def test_sweep_config_flag_must_be_a_json_boolean(tmp_path, capsys):
+    out = tmp_path / "pp.csv"
+    for flag, code in ((True, 0), ("false", 1), (0, 1)):
+        cfg = _write(
+            tmp_path,
+            "pp.json",
+            {
+                "method": {"family": "pp", "eta": 0.5},
+                "sector": {"mu": 0.5, "L": 4},
+                "allow_improper": flag,
+            },
+        )
+        args = ["sweep", "--config", cfg, "--eta-min", "0.5", "--eta-max", "1",
+                "--eta-steps", "2", "--out", str(out)]
+        assert main(args) == code, flag
+        if code == 0:
+            rows = out.read_text().strip().splitlines()[1:]
+            assert len(rows) == 2 and "uncertified" not in out.read_text()
+            out.unlink()
+        else:
+            assert "allow_improper must be true or false" in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_sweep_rows_and_determinism(tmp_path):
     cfg = _write(
         tmp_path,

@@ -115,6 +115,12 @@ def test_rotate_is_orthogonal_and_seeded_random_is_deterministic():
     assert not np.allclose(a, c)
 
 
+def test_unknown_noise_strategies_are_rejected():
+    for name in ("seeded_random", "bogus"):
+        with pytest.raises(ValueError, match="unknown noise strategy"):
+            NoiseAdversary(name, 0.1)
+
+
 def test_rotate_in_one_dimension_is_inert():
     assert_allclose(apply_noise(NoiseAdversary("rotate", 0.5), [3.0], 0), [3.0])
 

@@ -7,11 +7,7 @@ import pytest
 from numpy.polynomial import chebyshev as C
 from numpy.testing import assert_allclose
 
-from freqcert.gain import (
-    _cos_power_profile,
-    hinf_norm,
-    magnitude_squared_as_cos_rational,
-)
+from freqcert.gain import cos_power_profile, hinf_norm
 from freqcert.stability import Polynomial, spectral_radius_poly
 from freqcert.transfer import (
     MethodSpec,
@@ -34,18 +30,16 @@ def _ogd_loop(L, lam, eps, rho):
 
 def test_profile_of_pure_delay_is_constant():
     k = RationalTF.from_coeffs([-0.4], [0.0, 1.0])
-    cr = magnitude_squared_as_cos_rational(k)
-    assert_allclose(cr.p, [0.16], rtol=1e-15)
+    assert_allclose(cos_power_profile(k.num), [0.16], rtol=1e-15)
     # |z|^2 = 1: the lag-1 term of [0, 1] is an exact zero
-    assert_allclose(C.chebtrim(cr.q, 0), [1.0], rtol=1e-15)
+    assert_allclose(C.chebtrim(cos_power_profile(k.den), 0), [1.0], rtol=1e-15)
 
 
 def test_profile_of_gd_controller():
     # |e^{jw} - 1|^2 = 2 - 2 cos(w)
     k = RationalTF.from_coeffs([-0.4], [-1.0, 1.0])
-    cr = magnitude_squared_as_cos_rational(k)
-    assert_allclose(cr.p, [0.16], rtol=1e-15)
-    assert_allclose(cr.q, [2.0, -2.0], rtol=1e-15)
+    assert_allclose(cos_power_profile(k.num), [0.16], rtol=1e-15)
+    assert_allclose(cos_power_profile(k.den), [2.0, -2.0], rtol=1e-15)
 
 
 def test_profile_matches_the_optimistic_closed_form():
@@ -53,7 +47,7 @@ def test_profile_matches_the_optimistic_closed_form():
     rho = 1.0 - (2.0 / 3.0) * eps * (1.0 - eps) * lam
     eta = (2.0 / (3.0 * L)) * (1.0 - eps)
     loop = _ogd_loop(L, lam, eps, rho)
-    cr = magnitude_squared_as_cos_rational(loop)
+    p, q = cos_power_profile(loop.num), cos_power_profile(loop.den)
 
     a0, a1 = 1.0 + 4.0 * rho**2, -4.0 * rho
     c1 = (2 * lam - 2 * eps * lam - 2 * eps - 1) / 3.0
@@ -66,9 +60,9 @@ def test_profile_matches_the_optimistic_closed_form():
 
     # the computed profile carries the monic normalization of the loop, so
     # compare after matching a single common scale
-    scale = q_expected[0] / cr.q[0]
-    assert_allclose(np.asarray(cr.p) * scale, p_expected, rtol=1e-12)
-    assert_allclose(np.asarray(cr.q) * scale, q_expected, rtol=1e-12)
+    scale = q_expected[0] / q[0]
+    assert_allclose(p * scale, p_expected, rtol=1e-12)
+    assert_allclose(q * scale, q_expected, rtol=1e-12)
 
 
 def test_profile_consistency_at_random_frequencies():
@@ -81,9 +75,7 @@ def test_profile_consistency_at_random_frequencies():
         ),
     ]
     for k in loops:
-        cr = magnitude_squared_as_cos_rational(k)
-        p = np.asarray(cr.p)
-        q = np.asarray(cr.q)
+        p, q = cos_power_profile(k.num), cos_power_profile(k.den)
         for _ in range(1000):
             w = rng.uniform(-np.pi, np.pi)
             x = np.cos(w)
@@ -148,8 +140,7 @@ def test_gain_dominates_random_frequency_samples():
 def test_grid_maximum_never_exceeds_refined_maximum():
     for eps in (0.2, 0.5, 0.8):
         loop = _ogd_loop(4.0, 0.25, eps, 0.99)
-        cr = magnitude_squared_as_cos_rational(loop)
-        p, q = np.asarray(cr.p), np.asarray(cr.q)
+        p, q = cos_power_profile(loop.num), cos_power_profile(loop.den)
         xs = np.linspace(-1, 1, 4096)
         grid_max = np.max(C.chebval(xs, p) / C.chebval(xs, q))
         gain, _ = hinf_norm(loop)
@@ -178,7 +169,7 @@ def test_cos_power_profile_matches_the_double_loop():
     for n in range(1, 13):
         for _ in range(20):
             c = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
-            got = _cos_power_profile(c)
+            got = cos_power_profile(c)
             want = _double_loop_profile(c)
             assert got.shape == want.shape
             assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
@@ -272,7 +263,7 @@ def test_gain_matches_a_40_digit_reference_on_all_families(family_corpus):
             loop = rho_scale(shifted, radius + (1.0 - radius) * frac)
             gain, omega = hinf_norm(loop)
             want = _reference_gain(loop)
-            q = np.asarray(magnitude_squared_as_cos_rational(loop).q)
+            q = cos_power_profile(loop.den)
             kappa = np.sum(np.abs(q)) / C.chebval(np.cos(omega), q)
             assert abs(gain - want) <= (1e-10 + eps * kappa) * want, (method, frac)
     assert len(families) == 9

@@ -67,6 +67,15 @@ def test_curves_approach_one_for_frozen_steps():
         assert_allclose(radius, 1.0, atol=1e-9)
 
 
+def test_curves_keep_the_leading_term_at_large_steps():
+    # at s = 1e7 the monic leading 1 is tiny beside the s^2 terms; dropping it
+    # would leave a factor near (z - 1/2)^2 and report a contracting update
+    (_, alt), = spectrum_curve("alt", [1e7])
+    (_, sim), = spectrum_curve("sim", [1e7])
+    assert_allclose(alt, 4e14, rtol=1e-6)
+    assert_allclose(sim, 2e7, rtol=1e-6)
+
+
 def test_alt_dominates_sim_outside_the_critical_window():
     # the simultaneous factor is critically damped near s = 1/2 (its quartic
     # becomes (z^2 - z + 1/2)^2 with all roots at 1/sqrt(2)), where it beats

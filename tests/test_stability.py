@@ -57,19 +57,13 @@ def test_degree_zero_has_no_roots():
 
 
 def test_is_schur_examples():
-    assert is_schur(Polynomial((-0.5, 1.0)), 0.0)
+    assert is_schur(Polynomial((-0.5, 1.0)))
     # root at -1.1514 from the quadratic above
-    assert not is_schur(Polynomial((-0.75, 0.5, 1.0)), 0.0)
+    assert not is_schur(Polynomial((-0.75, 0.5, 1.0)))
     # boundary case: z = -1 is an exact root
     boundary = Polynomial((4 / 9, -7 / 9, -2 / 9, 1.0))
     assert abs(boundary(-1.0)) < 1e-15
-    assert not is_schur(boundary, 0.0)
-
-
-def test_is_schur_margin():
-    p = Polynomial((-0.9, 1.0))
-    assert is_schur(p, 0.0)
-    assert not is_schur(p, 0.2)
+    assert not is_schur(boundary)
 
 
 def test_spectral_radius_examples():
@@ -82,7 +76,7 @@ def test_degree_validation():
     with pytest.raises(ValueError):
         spectral_radius_poly(Polynomial((2.0,)))
     with pytest.raises(ValueError):
-        is_schur(Polynomial((2.0,)), 0.0)
+        is_schur(Polynomial((2.0,)))
 
 
 def test_dual_testers_agree_on_random_polynomials(schur_recursion):
@@ -97,8 +91,8 @@ def test_dual_testers_agree_on_random_polynomials(schur_recursion):
         radius = spectral_radius_poly(p)
         if abs(radius - 1.0) <= MARGINAL_ROOT_BAND:
             continue
-        verdict = is_schur(p, 0.0)
-        assert verdict == schur_recursion(p, 0.0), p.coeffs
+        verdict = is_schur(p)
+        assert verdict == schur_recursion(p), p.coeffs
         assert verdict == (radius < 1.0)
         checked += 1
 
@@ -126,7 +120,7 @@ def test_consistency_with_spectral_radius():
         radius = spectral_radius_poly(p)
         if abs(radius - 1.0) <= 1e-9:
             continue
-        assert is_schur(p, 0.0) == (radius < 1.0)
+        assert is_schur(p) == (radius < 1.0)
 
 
 def test_trimming_drops_negligible_leading_terms():

@@ -235,6 +235,21 @@ def test_from_coeffs_keeps_common_roots():
     assert_allclose(k.den, den, atol=1e-15)
 
 
+def test_trimming_is_relative_to_the_coefficient_scale():
+    # every coefficient of this num lies below an absolute 1e-14; none is
+    # negligible against the largest, so the -2 eta z term stays
+    k = build_transfer(MethodSpec("ogd", eta=4e-15))
+    assert k.num == (4e-15, -8e-15)
+
+
+def test_numerator_cut_leaves_a_huge_denominator_whole():
+    # z^2 + 1e14 z - (1 + 1e14) has a root near -1e14; a cut relative to its
+    # largest coefficient would drop the leading 1 and that pole with it
+    k = build_transfer(MethodSpec("general", eta=1e10, a=(0.0, 1.0), b=(-1e14, 1.0 + 1e14)))
+    assert k.den == (-(1.0 + 1e14), 1e14, 1.0)
+    assert k.num == (-1e10,)
+
+
 def test_from_coeffs_rejects_improper():
     with pytest.raises(ValueError):
         RationalTF.from_coeffs([1.0, 2.0, 3.0], [1.0, 1.0])
