@@ -12,24 +12,15 @@ from .certify import (
 )
 from .dynamics import NoiseAdversary, Trajectory, apply_noise, estimate_rate, run
 from .gain import cos_power_profile, hinf_norm
-from .games import (
-    BilinearGame,
-    alt_char_poly,
-    bilinear_threshold,
-    sim_char_poly,
-    spectrum_curve,
-)
+from .games import BilinearGame, bilinear_threshold, game_factor, spectrum_curve
 from .operators import (
     OperatorSpec,
     SectorParams,
-    SectorReport,
     bilinear_operator,
     build_minmax_operator,
-    check_sector,
     derived_sector,
     diagonal_quadratic,
     eval_operator,
-    sample_pairs,
     scalar_noncvx,
 )
 from .stability import Polynomial, is_schur, roots, spectral_radius_poly

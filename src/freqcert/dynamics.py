@@ -157,6 +157,11 @@ def run(
     """Iterate ``method`` on ``op`` for ``steps`` updates of its
     :class:`~freqcert.transfer.Recursion`.
 
+    ``mode="alternating"`` runs the update as a block Gauss-Seidel step on a
+    bilinear game (x, y), for methods whose ``Recursion.alternates``: x
+    moves on the observation at (x_k, y_k), then y on the second half of an
+    observation at (x_(k+1), y_k).
+
     Every operator evaluation is filtered through the adversary, one
     observation (and noise index) per evaluation point. ``history`` supplies
     the earlier points, most recent first: entry i stands for x_(-1-i) and
@@ -181,23 +186,23 @@ def run(
     def observe(x):
         return apply_noise(adversary, eval_operator(op, x), next(counter))
 
-    if mode == "alternating":
+    rec = Recursion.of(method)
+    alternate = mode == "alternating"
+    if alternate:
         if op.kind != "bilinear":
             raise ValueError("alternating mode requires a bilinear operator")
-        if method.family != "ogd":
-            raise ValueError("alternating mode is defined for the ogd family")
+        if not rec.alternates:
+            raise ValueError(f"{method.family} has no alternating update")
         if history is not None:
             raise ValueError("alternating mode does not take explicit history")
-        return _run_alternating(method, op, x0, steps, adversary, counter)
-    if mode != "simultaneous":
+    elif mode != "simultaneous":
         raise ValueError(f"unknown mode {mode!r}")
-
-    rec = Recursion.of(method)
     if rec.implicit < 0:
         raise ValueError("implicit step needs a nonnegative coefficient")
     n_x = max(len(rec.b), len(rec.e))  # iterates x_k .. x_(k-n_x+1) in the state
     n_s = max(len(rec.c) - 1, len(rec.f))  # earlier observations s_(k-1) .. s_(k-n_s)
     at_iterate = rec.evaluates_at_iterate
+    half = op.dimension // 2  # the first player's block in alternating mode
     observes = bool(rec.c or rec.f)  # s_k enters the update explicitly
 
     # X holds x_k, x_(k-1), ...; S holds s_(k-1), s_(k-2), ... until s_k is
@@ -245,6 +250,13 @@ def run(
             S.insert(0, observe(y) if pending is None else pending)
             S.pop()
         x = _combine(x_terms)
+        if alternate:
+            # the second block observes at (x_(k+1), y_k); the combine is
+            # elementwise, so redoing it leaves the first block as it was
+            s = observe(np.concatenate([x[:half], X[0][half:]]))  # a fresh array
+            s[:half] = S[0][:half]
+            S[0] = s
+            x = _combine(x_terms)
         if solve is not None:
             x, pending = solve(x)
         else:
@@ -262,42 +274,6 @@ def run(
             break
         X.insert(0, x)
         X.pop()
-    return traj
-
-
-def _run_alternating(method, op, x0, steps, adv, counter):
-    eta = method.eta
-    A = np.asarray(op.matrix, dtype=float)
-    n = A.shape[0]
-    x, y = np.array(x0[:n]), np.array(x0[n:])
-
-    def obs(v):
-        return apply_noise(adv, v, next(counter))
-
-    traj = Trajectory()
-    traj.points.append(np.array(x0))
-    traj.distances.append(float(np.linalg.norm(x0)))
-    base = max(traj.distances[0], 1e-12)
-    gx_prev = obs(A @ y)
-    gy_prev = obs(A.T @ x)
-    for _ in range(steps):
-        gx = obs(A @ y)
-        x_new = x - 2.0 * eta * gx + eta * gx_prev
-        gy = obs(A.T @ x_new)
-        y_new = y + 2.0 * eta * gy - eta * gy_prev
-        point = np.concatenate([x_new, y_new])
-        traj.points.append(point)
-        if not np.all(np.isfinite(point)):
-            traj.distances.append(float("inf"))
-            traj.diverged = True
-            return traj
-        d = float(np.linalg.norm(point))
-        traj.distances.append(d)
-        if d > DIVERGENCE_FACTOR * base:
-            traj.diverged = True
-            return traj
-        x, y = x_new, y_new
-        gx_prev, gy_prev = gx, gy
     return traj
 
 

@@ -1,10 +1,11 @@
-"""Characteristic-equation analysis of simultaneous vs alternating optimistic
-updates on bilinear saddle games.
+"""Characteristic-equation analysis of simultaneous vs alternating updates on
+bilinear saddle games.
 
 For f(x, y) = x'Ay the closed-loop spectrum factors per eigenvalue lambda of
-AA': each lambda contributes one low-degree polynomial whose roots are the
-induced multipliers. The whole system is stable exactly when every factor is
-Schur, so thresholds reduce to where the worst factor's radius crosses 1.
+AA': each lambda contributes one low-degree polynomial, read off the method's
+transfer function, whose roots are the induced multipliers. The whole system
+is stable exactly when every factor is Schur, so thresholds reduce to where
+the worst factor's radius crosses 1.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .operators import coupling_singular_values
 
 # roots stays bound here: the benchmark tracer counts freqcert.games.roots
 from .stability import Polynomial, roots, spectral_radius_poly  # noqa: F401
+from .transfer import MethodSpec, Recursion, build_transfer
 
 _ALT_BOUNDARY = 2.0 / 3.0
 _SIM_BOUNDARY = 1.0 / np.sqrt(3.0)
@@ -41,37 +43,36 @@ class BilinearGame:
         )
 
 
-def alt_char_poly(lam: float, eta: float) -> Polynomial:
-    """Cubic factor z(z-1)^2 + eta^2 lam (2z-1)^2 of the alternating update."""
-    if lam <= 0 or eta <= 0:
-        raise ValueError("lam and eta must be positive")
-    s2 = eta * eta * lam
-    return Polynomial((s2, 1.0 - 4.0 * s2, 4.0 * s2 - 2.0, 1.0))
+def game_factor(method: MethodSpec, mode: str, lam: float) -> Polynomial:
+    """Characteristic factor of ``method`` on the game direction of an
+    eigenvalue ``lam`` of AA', read off its transfer function K = num/den.
 
-
-def sim_char_poly(lam: float, eta: float) -> Polynomial:
-    """Quartic factor z^2(z-1)^2 + eta^2 lam (2z-1)^2 of the simultaneous update."""
-    if lam <= 0 or eta <= 0:
-        raise ValueError("lam and eta must be positive")
-    s2 = eta * eta * lam
-    return Polynomial((s2, -4.0 * s2, 1.0 + 4.0 * s2, -2.0, 1.0))
-
-
-def _factor_for(mode: str, s: float) -> Polynomial:
-    if mode == "alt":
-        return alt_char_poly(1.0, s)
-    if mode == "sim":
-        return sim_char_poly(1.0, s)
-    raise ValueError(f"unknown mode {mode!r}")
+    The coupling's multipliers there are +-j sqrt(lam), and the method's
+    characteristic polynomial on F = c x is den - c num, so the simultaneous
+    update ("sim") gives den^2 + lam num^2. In the alternating update ("alt")
+    the second player observes the first player's new iterate, one factor
+    of z: den^2 + lam z num^2. That form needs ``Recursion.alternates``.
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    if mode not in ("alt", "sim"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "alt" and not Recursion.of(method).alternates:
+        raise ValueError(f"{method.family} has no alternating update")
+    k = build_transfer(method)
+    coupled = lam * np.convolve(k.num, k.num)
+    factor = np.convolve(k.den, k.den)
+    low = 1 if mode == "alt" else 0  # the factor z
+    factor[low : low + coupled.size] += coupled
+    return Polynomial(tuple(factor))
 
 
 def spectrum_curve(mode: str, points) -> list[tuple[float, float]]:
-    """Largest multiplier magnitude as a function of s = eta sqrt(lam)."""
+    """Largest multiplier magnitude of ogd as a function of s = eta sqrt(lam)."""
     out = []
     for s in points:
-        if s <= 0:
-            raise ValueError("s values must be positive")
-        out.append((float(s), spectral_radius_poly(_factor_for(mode, float(s)))))
+        factor = game_factor(MethodSpec("ogd", eta=float(s)), mode, 1.0)
+        out.append((float(s), spectral_radius_poly(factor)))
     return out
 
 

@@ -1,4 +1,4 @@
-"""Concrete test operators with known sector constants, and empirical verification."""
+"""Concrete test operators with known sector constants."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SLACK_TOL = 1e-9
 _SING_TOL = 1e-12
 
 KINDS = ("diagonal-quadratic", "scalar-noncvx", "bilinear", "minmax-quadratic")
@@ -316,50 +315,3 @@ def eval_operator(op: OperatorSpec, x) -> np.ndarray:
     if op.kind == "diagonal-quadratic":
         return np.asarray(op.spectrum) * (x - op.fixed_point)
     return op.linear_map() @ (x - np.asarray(op.fixed_point))
-
-
-@dataclass(frozen=True)
-class SectorReport:
-    """Worst slack of the sector inequalities over a sample of point pairs.
-
-    Margins are the smallest left-minus-right values seen; a check passes
-    when its margin stays above ``-SLACK_TOL``.
-    """
-
-    monotone_ok: bool
-    cocoercive_ok: bool
-    qsb_ok: bool
-    worst_margins: dict[str, float]
-
-
-def check_sector(op: OperatorSpec, sector: SectorParams, pairs) -> SectorReport:
-    """Evaluate monotonicity, co-coercivity and the combined quadratic bound
-    on every supplied ``(x, x')`` pair."""
-    if len(pairs) == 0:
-        raise ValueError("at least one sample pair is required")
-    mu, L = sector.mu, sector.L
-    worst = {"monotone": np.inf, "cocoercive": np.inf, "qsb": np.inf}
-    for x, xp in pairs:
-        du = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
-        dv = eval_operator(op, x) - eval_operator(op, xp)
-        ip = float(du @ dv)
-        nu2 = float(du @ du)
-        nv2 = float(dv @ dv)
-        worst["monotone"] = min(worst["monotone"], ip - mu * nu2)
-        worst["cocoercive"] = min(worst["cocoercive"], ip - nv2 / L)
-        worst["qsb"] = min(
-            worst["qsb"], -2.0 * mu * L * nu2 + 2.0 * (L + mu) * ip - 2.0 * nv2
-        )
-    return SectorReport(
-        monotone_ok=worst["monotone"] >= -SLACK_TOL,
-        cocoercive_ok=worst["cocoercive"] >= -SLACK_TOL,
-        qsb_ok=worst["qsb"] >= -SLACK_TOL,
-        worst_margins=dict(worst),
-    )
-
-
-def sample_pairs(dimension: int, count: int, seed: int = 0, box: float = 10.0):
-    """Seeded point pairs drawn uniformly from the centered hypercube."""
-    rng = np.random.default_rng(seed)
-    draws = rng.uniform(-box, box, size=(count, 2, dimension))
-    return [(draws[i, 0], draws[i, 1]) for i in range(count)]

@@ -167,8 +167,8 @@ class Recursion:
     A nonzero ``implicit`` observes the operator at the new iterate, which
     must then be solved for; such methods evaluate at their iterates
     (e = (1,), f = ()). :func:`build_transfer` reads K(z) off these
-    coefficients and ``dynamics.run`` iterates them, so this is the one place
-    that defines a family.
+    coefficients, ``dynamics.run`` iterates them and ``games.game_factor``
+    reads its factors off K, so this is the one place that defines a family.
     """
 
     b: tuple[float, ...]
@@ -180,6 +180,14 @@ class Recursion:
     @property
     def evaluates_at_iterate(self) -> bool:
         return self.e == (1.0,) and not self.f
+
+    @property
+    def alternates(self) -> bool:
+        """Whether the update has a block-alternating (Gauss-Seidel) form: it
+        observes at its iterate and takes no implicit step, so the second
+        block can be updated from an observation at the first block's new
+        iterate."""
+        return self.evaluates_at_iterate and not self.implicit
 
     @classmethod
     def of(cls, m: MethodSpec) -> "Recursion":
@@ -242,10 +250,11 @@ def complementary_sensitivity(k: RationalTF, h: float) -> RationalTF:
     """K / (1 - h K) in denominator-monic form: den becomes den - h num.
 
     A root c shared by num and den stays a root of both, so the shifted
-    loop keeps the mode at c and certifies only at rates rho > |c|. Raises
-    ValueError when the leading coefficient cancels relative to the
-    coefficient scale, i.e. when 1 - h K(inf) = 0 and the loop is not well
-    posed.
+    loop keeps the mode at c and certifies only at rates rho > |c|. A num of
+    lower degree cannot change den's leading coefficient. When num reaches
+    den's degree, raises ValueError if the leading coefficients cancel
+    relative to their own scale, i.e. when 1 - h K(inf) = 0 and the loop is
+    not well posed.
     """
     if h == 0.0:
         return k
@@ -253,9 +262,10 @@ def complementary_sensitivity(k: RationalTF, h: float) -> RationalTF:
     for i, c in enumerate(k.num):
         shifted[i] -= h * c
     lead = shifted[-1]
-    scale = max(max(abs(c) for c in k.den), abs(h) * max(abs(c) for c in k.num))
-    if abs(lead) <= COEFF_TRIM_TOL * scale:
-        raise ValueError("shifted loop is not well posed: its leading coefficient cancels")
+    if len(k.num) == len(k.den):
+        scale = max(abs(k.den[-1]), abs(h) * abs(k.num[-1]))
+        if abs(lead) <= COEFF_TRIM_TOL * scale:
+            raise ValueError("shifted loop is not well posed: its leading coefficient cancels")
     return RationalTF(
         num=tuple(c / lead for c in k.num), den=tuple(c / lead for c in shifted)
     )

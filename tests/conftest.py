@@ -1,7 +1,14 @@
+import itertools
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from freqcert.dynamics import DIVERGENCE_FACTOR, Trajectory, apply_noise
+from freqcert.operators import eval_operator
 from freqcert.transfer import MethodSpec
+
+SLACK_TOL = 1e-9
 
 
 def _schur_recursion_stable(p) -> bool:
@@ -58,3 +65,91 @@ def _family_corpus(seed):
 def family_corpus():
     """Seeded methods of all nine families; see ``_family_corpus``."""
     return _family_corpus
+
+
+@dataclass(frozen=True)
+class SectorReport:
+    """Worst slack of the sector inequalities over a sample of point pairs.
+
+    Margins are the smallest left-minus-right values seen; a check passes
+    when its margin stays above ``-SLACK_TOL``.
+    """
+
+    monotone_ok: bool
+    cocoercive_ok: bool
+    qsb_ok: bool
+    worst_margins: dict[str, float]
+
+
+def check_sector(op, sector, pairs) -> SectorReport:
+    """Sector oracle for ``derived_sector``: monotonicity, co-coercivity and
+    the combined quadratic bound on every supplied ``(x, x')`` pair."""
+    if len(pairs) == 0:
+        raise ValueError("at least one sample pair is required")
+    mu, L = sector.mu, sector.L
+    worst = {"monotone": np.inf, "cocoercive": np.inf, "qsb": np.inf}
+    for x, xp in pairs:
+        du = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
+        dv = eval_operator(op, x) - eval_operator(op, xp)
+        ip = float(du @ dv)
+        nu2 = float(du @ du)
+        nv2 = float(dv @ dv)
+        worst["monotone"] = min(worst["monotone"], ip - mu * nu2)
+        worst["cocoercive"] = min(worst["cocoercive"], ip - nv2 / L)
+        worst["qsb"] = min(
+            worst["qsb"], -2.0 * mu * L * nu2 + 2.0 * (L + mu) * ip - 2.0 * nv2
+        )
+    return SectorReport(
+        monotone_ok=worst["monotone"] >= -SLACK_TOL,
+        cocoercive_ok=worst["cocoercive"] >= -SLACK_TOL,
+        qsb_ok=worst["qsb"] >= -SLACK_TOL,
+        worst_margins=dict(worst),
+    )
+
+
+def sample_pairs(dimension: int, count: int, seed: int = 0, box: float = 10.0):
+    """Seeded point pairs drawn uniformly from the centered hypercube."""
+    rng = np.random.default_rng(seed)
+    draws = rng.uniform(-box, box, size=(count, 2, dimension))
+    return [(draws[i, 0], draws[i, 1]) for i in range(count)]
+
+
+def alternating_ogd(eta, op, x0, steps, adv):
+    """Reference alternating ogd on a bilinear game, written out by hand: x
+    moves on obs(A y), then y on obs(A' x_new), each player with its own
+    previous observation. ``dynamics.run`` must reproduce it bit for bit
+    under noise that does not depend on the observation index."""
+    counter = itertools.count()
+    A = np.asarray(op.matrix, dtype=float)
+    n = A.shape[0]
+    x0 = np.asarray(x0, dtype=float)
+    x, y = np.array(x0[:n]), np.array(x0[n:])
+
+    def obs(v):
+        return apply_noise(adv, v, next(counter))
+
+    traj = Trajectory()
+    traj.points.append(np.array(x0))
+    traj.distances.append(float(np.linalg.norm(x0)))
+    base = max(traj.distances[0], 1e-12)
+    gx_prev = obs(A @ y)
+    gy_prev = obs(A.T @ x)
+    for _ in range(steps):
+        gx = obs(A @ y)
+        x_new = x - 2.0 * eta * gx + eta * gx_prev
+        gy = obs(A.T @ x_new)
+        y_new = y + 2.0 * eta * gy - eta * gy_prev
+        point = np.concatenate([x_new, y_new])
+        traj.points.append(point)
+        if not np.all(np.isfinite(point)):
+            traj.distances.append(float("inf"))
+            traj.diverged = True
+            return traj
+        d = float(np.linalg.norm(point))
+        traj.distances.append(d)
+        if d > DIVERGENCE_FACTOR * base:
+            traj.diverged = True
+            return traj
+        x, y = x_new, y_new
+        gx_prev, gy_prev = gx, gy
+    return traj

@@ -9,6 +9,7 @@ see the README note on the critically damped simultaneous update.
 
 import numpy as np
 
+from conftest import check_sector, sample_pairs
 from freqcert.certify import (
     CertificationQuery,
     best_rate,
@@ -18,16 +19,14 @@ from freqcert.certify import (
 )
 from freqcert.dynamics import NoiseAdversary, Trajectory, estimate_rate, run
 from freqcert.gain import cos_power_profile, hinf_norm
-from freqcert.games import BilinearGame, alt_char_poly, bilinear_threshold, sim_char_poly
+from freqcert.games import BilinearGame, bilinear_threshold, game_factor
 from freqcert.operators import (
     SectorParams,
     bilinear_operator,
     build_minmax_operator,
-    check_sector,
     derived_sector,
     diagonal_quadratic,
     eval_operator,
-    sample_pairs,
     scalar_noncvx,
 )
 from freqcert.stability import (
@@ -186,7 +185,9 @@ def test_criterion_7_noise():
 
 def test_criterion_8_bilinear_thresholds():
     def crossing_eta(mode, lam):
-        factor = alt_char_poly if mode == "alt" else sim_char_poly
+        def factor(lam, eta):
+            return game_factor(MethodSpec("ogd", eta=eta), mode, lam)
+
         lo, hi = 1e-3, None
         eta = 0.05
         while eta < 2.0:
@@ -220,7 +221,7 @@ def test_criterion_8_bilinear_thresholds():
             worst = max(worst, abs(measured - analytic))
             ok &= abs(measured - analytic) <= 1e-6
 
-    residual = abs(alt_char_poly(1.0, 2.0 / 3.0)(-1.0))
+    residual = abs(game_factor(MethodSpec("ogd", eta=2.0 / 3.0), "alt", 1.0)(-1.0))
     ok &= residual <= 1e-12
     _report(
         "criterion-8 bilinear-thresholds",
@@ -243,8 +244,8 @@ def test_criterion_9_alternating_empirics():
         alt = run(MethodSpec("ogd", eta=eta), op, [1.0, 1.0], steps, mode="alternating")
         sim = run(MethodSpec("ogd", eta=eta), op, [1.0, 1.0], steps, mode="simultaneous")
         alt_rate, sim_rate = estimate_rate(alt), estimate_rate(sim)
-        alt_radius = spectral_radius_poly(alt_char_poly(1.0, eta))
-        sim_radius = spectral_radius_poly(sim_char_poly(1.0, eta))
+        alt_radius = spectral_radius_poly(game_factor(MethodSpec("ogd", eta=eta), "alt", 1.0))
+        sim_radius = spectral_radius_poly(game_factor(MethodSpec("ogd", eta=eta), "sim", 1.0))
         if alt_radius < sim_radius:
             ordered = alt_rate < sim_rate
         else:

@@ -513,3 +513,78 @@ def test_coefficient_maps_find_no_roots(monkeypatch):
     for rho in (1e-6, 0.5, RHO_PROBE):
         rho_scale(shifted, rho)
     assert root_calls == []
+
+
+def test_a_large_lower_degree_numerator_leaves_the_loop_well_posed():
+    # num has lower degree than den, so den - h num keeps den's leading 1
+    # however large num is, and the loop is well posed
+    rho = best_rate(MethodSpec("hgd", eta=0.1, a=(1.0, 1e15)), SECTOR)
+    k, shifted = _shifted_loop(MethodSpec("hgd", eta=0.1, a=(1.0, 1e15)), SECTOR)
+    assert shifted.den[-1] == 1.0 and len(shifted.den) == len(k.den)
+    radius = spectral_radius_poly(Polynomial(shifted.den))
+    assert rho is None or rho >= radius
+
+
+def test_a_cancelled_improper_lead_still_raises():
+    # pid with kp + kd = -1/h: 1 - h K(inf) = 1 + h (kp + kd) = 0
+    with pytest.raises(ValueError, match="well posed"):
+        best_rate(MethodSpec("pid", kp=0.1, ki=0.1, kd=-0.5), SectorParams(1.0, 4.0),
+                  allow_improper=True)
+    # pp has K(inf) = -eta, which a shift of -1/eta cancels
+    with pytest.raises(ValueError, match="well posed"):
+        complementary_sensitivity(build_transfer(MethodSpec("pp", eta=0.5)), -2.0)
+
+
+def _extreme_specs(rng, per_family):
+    """Specs of all nine families whose step sizes and weights are drawn
+    log-uniformly from [1e-12, 1e12], weights and kd with random signs."""
+    mag = lambda: float(np.exp(rng.uniform(np.log(1e-12), np.log(1e12))))
+    signed = lambda: mag() * float(rng.choice((-1.0, 1.0)))
+    out = []
+    for _ in range(per_family):
+        n = int(rng.integers(1, 5))
+        b = np.array([mag() for _ in range(n)])
+        out += [
+            MethodSpec("gd", eta=mag()),
+            MethodSpec("ogd", eta=mag()),
+            MethodSpec("gogd", alpha=mag(), beta=mag()),
+            MethodSpec("pp", eta=mag()),
+            MethodSpec("pid", kp=mag(), ki=mag(), kd=signed()),
+            MethodSpec("hgd", eta=mag(), a=tuple(signed() for _ in range(n))),
+            MethodSpec("general", eta=mag(), a=tuple(signed() for _ in range(n)),
+                       b=tuple(b / b.sum())),
+            MethodSpec("pegd", eta=mag()),
+            MethodSpec("rgd", eta=mag()),
+        ]
+    return out
+
+
+def _shifted_pole_radius(method, sector):
+    # roots of den - h num, computed apart from the pipeline's coefficient maps
+    k = build_transfer(method)
+    den = np.array(k.den)
+    den[: len(k.num)] -= (sector.mu + sector.L) / 2.0 * np.array(k.num)
+    return float(np.max(np.abs(np.roots(den[::-1]))))
+
+
+def test_searches_survive_extreme_scales():
+    rng = np.random.default_rng(7)
+    specs = _extreme_specs(rng, 30)
+    certified = 0
+    for i, method in enumerate(specs):
+        mu = float(np.exp(rng.uniform(np.log(1e-3), 0.0)))
+        L = mu * float(np.exp(rng.uniform(np.log(1.5), np.log(1e3))))
+        sector = SectorParams(mu, L, float(rng.uniform(0.0, 0.05)))
+        rates = [best_rate(method, sector, allow_improper=True)]
+        if certify(CertificationQuery(method, sector, 0.99, True)).certified:
+            rates.append(0.99)
+        for rho in rates:
+            if rho is not None:
+                assert rho >= _shifted_pole_radius(method, sector), (method, sector, rho)
+                certified += 1
+        if method.eta is not None and i % 2 == 0:
+            eta = max_learning_rate(method, sector, allow_improper=True)
+            if eta is not None:
+                step = replace(method, eta=eta)
+                assert RHO_PROBE >= _shifted_pole_radius(step, sector), (step, sector)
+    assert len(specs) == 270 and certified > 20

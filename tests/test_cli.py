@@ -261,6 +261,69 @@ def test_spectrum_brackets_the_alt_boundary(tmp_path):
     assert lo <= 2 / 3 <= hi
 
 
+# `freqcert spectrum --s-min 0.025 --s-max 1.2 --points 48`, digit for digit:
+# the ogd factors equal the closed-form cubic and quartic bit for bit, so a
+# change in how they are derived must not move any value
+SPECTRUM_CSV = """\
+s,alt_max_root,sim_max_root
+0.025000000000000001,0.99937500024444537,0.99968725553842797
+0.050000000000000003,0.99750001570322078,0.9987460731103327
+0.075000000000000011,0.99437517998621205,0.99716748760282448
+0.10000000000000001,0.99000102009379698,0.99493615300512428
+0.125,0.98437893474594351,0.99202969626716742
+0.14999999999999999,0.97751190813140121,0.98841772581660603
+0.17500000000000002,0.969405503645969,0.98406038934603968
+0.20000000000000001,0.96006919441876826,0.97890631293070374
+0.22500000000000001,0.94951809681998767,0.97288965329439747
+0.25,0.93777517559400836,0.96592582628906865
+0.27500000000000002,0.92487397760931322,0.95790517652440477
+0.30000000000000004,0.9108619141886638,0.94868329805051388
+0.32500000000000007,0.89580403381872797,0.93806561808823663
+0.35000000000000003,0.87978708941715988,0.92578151927284769
+0.37500000000000006,0.86292349342685137,0.91143782776614712
+0.40000000000000002,0.84535447602592451,0.89442719099991619
+0.42500000000000004,0.827251467756557,0.87372269274714198
+0.45000000000000007,0.8088145387770681,0.84731632061293061
+0.47500000000000003,0.79026683133403985,0.81001540106343717
+0.5,0.77184450634603863,0.70710679536622345
+0.52500000000000002,0.75378282058127266,0.84813442992995602
+0.55000000000000004,0.73630027523630914,0.92576544719630316
+0.57500000000000007,0.71958374535556158,0.99387485624877114
+0.60000000000000009,0.72682809503334678,1.0573528147419138
+0.62500000000000011,0.82290375855616504,1.1180339887498951
+0.65000000000000002,0.92665065141336744,1.1768307232094499
+0.67500000000000004,1.0379088624937682,1.2342688336495322
+0.70000000000000007,1.1564779081368537,1.2906808776685619
+0.72500000000000009,1.2821383826238455,1.3462912017836257
+0.75000000000000011,1.4146684351368097,1.4012585384440739
+0.77500000000000002,1.5538549720606225,1.4556994004190371
+0.80000000000000004,1.6995003585770438,1.5097018512751939
+0.82500000000000007,1.8514257137034049,1.5633340627465246
+0.85000000000000009,2.0094718626759986,1.616649870013213
+0.87500000000000011,2.1734988186334614,1.6696925102934959
+0.90000000000000002,2.3433844356570033,1.7224972160321828
+0.92500000000000004,2.5190226696001572,1.7750930605197277
+0.95000000000000007,2.7003217232835128,1.8275043009616501
+0.97500000000000009,2.8872022387816192,1.8797513749619552
+1,3.0795956234914375,1.9318516525781371
+1.0249999999999999,3.2774425485812815,1.9838200125610597
+1.05,3.4806916296233714,2.0356692898958406
+1.075,3.6892982830859085,2.0874106276431297
+1.0999999999999999,3.9032237442056505,2.1390537566057564
+1.125,4.1224342284197704,2.1906072198614148
+1.1499999999999999,4.3469002179619611,2.2420785546851212
+1.175,4.5765958561418403,2.293474441187664
+1.2,4.8114984334519511,2.3448008246997385
+"""
+
+
+def test_spectrum_csv_is_pinned(tmp_path):
+    out = tmp_path / "spec.csv"
+    args = ["spectrum", "--s-min", "0.025", "--s-max", "1.2", "--points", "48"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert out.read_text() == SPECTRUM_CSV
+
+
 def test_simulate_csv(tmp_path):
     cfg = _write(
         tmp_path,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import alternating_ogd
 from freqcert.dynamics import (
     NoiseAdversary,
     Trajectory,
@@ -15,6 +16,8 @@ from freqcert.operators import (
     eval_operator,
     scalar_noncvx,
 )
+from freqcert.games import game_factor
+from freqcert.stability import spectral_radius_poly
 from freqcert.transfer import MethodSpec, build_transfer
 
 
@@ -62,6 +65,63 @@ def test_both_update_orders_converge_at_eta_half():
 def test_alternating_mode_requires_a_bilinear_operator():
     with pytest.raises(ValueError):
         run(MethodSpec("ogd", eta=0.1), scalar_noncvx(), [0.1], 10, mode="alternating")
+
+
+def test_alternating_ogd_matches_the_hand_written_update_bit_for_bit():
+    cases = [
+        (bilinear_operator([[1.0]]), eta, [1.0, 1.0], steps)
+        for eta, steps in {0.02: 2000, 0.05: 2000, 0.1: 1500, 0.25: 400, 0.5: 120}.items()
+    ]
+    rng = np.random.default_rng(9)
+    for n in (2, 3, 4):
+        for _ in range(2):
+            A = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+            op = bilinear_operator(A)
+            eta = float(rng.uniform(0.1, 0.7)) * 2.0 / (3.0 * np.linalg.norm(A, 2))
+            cases.append((op, eta, rng.normal(size=2 * n), 250))
+    cases.append((bilinear_operator([[1.0]]), 0.9, [1.0, 1.0], 400))  # diverges
+    for op, eta, x0, steps in cases:
+        for strategy in ("none", "scale_up", "scale_down"):
+            adv = NoiseAdversary(strategy, 0.0 if strategy == "none" else 0.03)
+            got = run(MethodSpec("ogd", eta=eta), op, x0, steps, adv, mode="alternating")
+            want = alternating_ogd(eta, op, x0, steps, adv)
+            assert got.diverged == want.diverged
+            assert got.distances == want.distances, (eta, strategy)
+            assert all(np.array_equal(a, b) for a, b in zip(got.points, want.points))
+            assert len(got.points) == len(want.points)
+
+
+@pytest.mark.parametrize(
+    "method",
+    [
+        MethodSpec("gd", eta=0.3),
+        MethodSpec("gogd", alpha=0.2, beta=0.1),
+        MethodSpec("hgd", eta=0.1, a=(1.0, 0.5, -0.3)),
+        MethodSpec("general", eta=0.2, a=(1.5, -0.5), b=(0.9, 0.1)),
+    ],
+)
+def test_alternating_runs_decay_at_their_game_factor_radius(method):
+    # gd alternates with every multiplier on the unit circle: bounded, no decay
+    op = bilinear_operator([[1.0]])
+    t = run(method, op, [1.0, 1.0], 600, mode="alternating")
+    radius = spectral_radius_poly(game_factor(method, "alt", 1.0))
+    assert not t.diverged
+    assert abs(estimate_rate(t) - radius) <= 1e-4
+
+
+def test_alternating_mode_needs_an_explicit_step_at_the_iterate():
+    op = bilinear_operator([[1.0]])
+    for method in (
+        MethodSpec("pp", eta=0.5),
+        MethodSpec("pid", kp=0.1, ki=0.1, kd=0.0),
+        MethodSpec("pegd", eta=0.1),
+        MethodSpec("rgd", eta=0.1),
+    ):
+        with pytest.raises(ValueError, match="no alternating update"):
+            run(method, op, [1.0, 1.0], 10, mode="alternating")
+    with pytest.raises(ValueError, match="history"):
+        run(MethodSpec("ogd", eta=0.1), op, [1.0, 1.0], 10, mode="alternating",
+            history=[np.zeros(2)])
 
 
 def test_estimate_rate_exact_geometric_input():

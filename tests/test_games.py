@@ -4,39 +4,98 @@ from numpy.testing import assert_allclose
 
 from freqcert.games import (
     BilinearGame,
-    alt_char_poly,
     bilinear_threshold,
-    sim_char_poly,
+    game_factor,
     spectrum_curve,
 )
 from freqcert.stability import spectral_radius_poly
+from freqcert.transfer import MethodSpec, build_transfer
+
+
+def ogd_alt_factor(lam, eta):
+    return game_factor(MethodSpec("ogd", eta=eta), "alt", lam)
+
+
+def ogd_sim_factor(lam, eta):
+    return game_factor(MethodSpec("ogd", eta=eta), "sim", lam)
+
+
+def _hand_cubic(lam, eta):
+    """OGD's alternating factor written out: z(z-1)^2 + eta^2 lam (2z-1)^2."""
+    s2 = eta * eta * lam
+    return (s2, 1.0 - 4.0 * s2, 4.0 * s2 - 2.0, 1.0)
+
+
+def _hand_quartic(lam, eta):
+    """OGD's simultaneous factor: z^2(z-1)^2 + eta^2 lam (2z-1)^2."""
+    s2 = eta * eta * lam
+    return (s2, -4.0 * s2, 1.0 + 4.0 * s2, -2.0, 1.0)
+
+
+def test_ogd_factors_equal_the_hand_written_polynomials_bit_for_bit():
+    rng = np.random.default_rng(11)
+    pairs = [(float(s), float(lam)) for s, lam in zip(
+        np.exp(rng.uniform(np.log(1e-3), np.log(2.0), 200)),
+        np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 200)),
+    )]
+    pairs += [(s, lam) for s in (1e-9, 1e-6, 1e7) for lam in (1.0, 0.37, 4.0)]
+    for eta, lam in pairs:
+        assert ogd_alt_factor(lam, eta).coeffs == (0.0, *_hand_cubic(lam, eta)), (eta, lam)
+        assert ogd_sim_factor(lam, eta).coeffs == _hand_quartic(lam, eta), (eta, lam)
 
 
 def test_alt_cubic_coefficients():
-    p = alt_char_poly(1.0, 0.5)
-    assert_allclose(p.coeffs, (0.25, 0.0, -1.0, 1.0), atol=1e-15)
+    p = ogd_alt_factor(1.0, 0.5)
+    assert_allclose(p.coeffs, (0.0, 0.25, 0.0, -1.0, 1.0), atol=1e-15)
 
 
 def test_alt_cubic_boundary_root():
     # z = -1 solves the cubic exactly at eta sqrt(lam) = 2/3
-    p = alt_char_poly(1.0, 2.0 / 3.0)
+    p = ogd_alt_factor(1.0, 2.0 / 3.0)
     assert abs(p(-1.0)) <= 1e-12
     assert_allclose(spectral_radius_poly(p), 1.0, atol=1e-9)
 
 
 def test_alt_cubic_frozen_dynamics():
-    p = alt_char_poly(1.0, 1e-9)
+    p = ogd_alt_factor(1.0, 1e-9)
     assert_allclose(spectral_radius_poly(p), 1.0, atol=1e-6)
 
 
 def test_sim_quartic_coefficients():
-    p = sim_char_poly(1.0, 0.1)
+    p = ogd_sim_factor(1.0, 0.1)
     assert_allclose(p.coeffs, (0.01, -0.04, 1.04, -2.0, 1.0), atol=1e-15)
 
 
 def test_sim_quartic_marginal_at_the_boundary():
-    p = sim_char_poly(1.0, 1.0 / np.sqrt(3.0))
+    p = ogd_sim_factor(1.0, 1.0 / np.sqrt(3.0))
     assert_allclose(spectral_radius_poly(p), 1.0, atol=1e-9)
+
+
+def test_sim_factor_splits_into_the_two_coupling_multipliers(family_corpus):
+    # on a game direction the operator acts as +-j sqrt(lam), so the roots of
+    # den^2 + lam num^2 are those of den - j sqrt(lam) num and den + j sqrt(lam) num
+    for method, _ in family_corpus(5):
+        k = build_transfer(method)
+        num = np.pad(k.num, (0, len(k.den) - len(k.num)))
+        for lam in (0.3, 2.0):
+            radius = max(
+                np.max(np.abs(np.roots((np.asarray(k.den) + sign * np.sqrt(lam) * num)[::-1])))
+                for sign in (1j, -1j)
+            )
+            got = spectral_radius_poly(game_factor(method, "sim", lam))
+            assert_allclose(got, radius, rtol=1e-7, err_msg=f"{method} lam={lam}")
+
+
+def test_alt_factor_needs_an_alternating_recursion():
+    for method in (
+        MethodSpec("pp", eta=0.5),
+        MethodSpec("pid", kp=0.1, ki=0.1, kd=0.0),
+        MethodSpec("pegd", eta=0.1),
+        MethodSpec("rgd", eta=0.1),
+    ):
+        with pytest.raises(ValueError, match="no alternating update"):
+            game_factor(method, "alt", 1.0)
+        game_factor(method, "sim", 1.0)
 
 
 def test_spectrum_curve_boundaries():
@@ -82,17 +141,17 @@ def test_alt_dominates_sim_outside_the_critical_window():
     # the alternating factor; everywhere else in (0, 0.55] alternating wins
     grid = np.linspace(0.55 / 100, 0.55, 100)
     for s in grid:
-        alt = spectral_radius_poly(alt_char_poly(1.0, s))
-        sim = spectral_radius_poly(sim_char_poly(1.0, s))
+        alt = spectral_radius_poly(ogd_alt_factor(1.0, s))
+        sim = spectral_radius_poly(ogd_sim_factor(1.0, s))
         if 0.485 <= s <= 0.51:
             continue
         assert alt <= sim + 1e-12, s
-    assert spectral_radius_poly(alt_char_poly(1.0, 0.5)) > spectral_radius_poly(
-        sim_char_poly(1.0, 0.5)
+    assert spectral_radius_poly(ogd_alt_factor(1.0, 0.5)) > spectral_radius_poly(
+        ogd_sim_factor(1.0, 0.5)
     )
     # quadruple root: conditioning limits the achievable root accuracy
     assert_allclose(
-        spectral_radius_poly(sim_char_poly(1.0, 0.5)), 1.0 / np.sqrt(2.0), rtol=1e-6
+        spectral_radius_poly(ogd_sim_factor(1.0, 0.5)), 1.0 / np.sqrt(2.0), rtol=1e-6
     )
 
 
@@ -122,11 +181,11 @@ def test_full_game_stability_reduces_to_per_eigenvalue_factors():
     g = BilinearGame.from_matrix([[1.0, 0.3], [0.0, 2.0]])
     eta = 0.9 * bilinear_threshold("alt", g)
     assert all(
-        spectral_radius_poly(alt_char_poly(lam, eta)) < 1.0 for lam in g.eigs_AAT
+        spectral_radius_poly(ogd_alt_factor(lam, eta)) < 1.0 for lam in g.eigs_AAT
     )
     eta = 1.05 * bilinear_threshold("alt", g)
     assert any(
-        spectral_radius_poly(alt_char_poly(lam, eta)) > 1.0 for lam in g.eigs_AAT
+        spectral_radius_poly(ogd_alt_factor(lam, eta)) > 1.0 for lam in g.eigs_AAT
     )
 
 
@@ -137,7 +196,9 @@ def test_singular_coupling_rejected():
 
 def test_invalid_inputs():
     with pytest.raises(ValueError):
-        alt_char_poly(-1.0, 0.5)
+        ogd_alt_factor(-1.0, 0.5)
+    with pytest.raises(ValueError, match="unknown mode"):
+        game_factor(MethodSpec("ogd", eta=0.5), "diagonal", 1.0)
     with pytest.raises(ValueError):
         spectrum_curve("alt", [0.0])
     with pytest.raises(ValueError):

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import check_sector, sample_pairs
 from freqcert.operators import (
     OperatorSpec,
     SectorParams,
     bilinear_operator,
     build_minmax_operator,
-    check_sector,
     derived_sector,
     diagonal_quadratic,
     eval_operator,
-    sample_pairs,
     scalar_noncvx,
 )
 
