@@ -24,8 +24,10 @@ class NoiseAdversary:
     """Relative deterministic noise r with ||r|| <= delta ||F(x)||.
 
     scale_up/scale_down stretch the observed value by (1 +- delta); rotate
-    adds an orthogonal component of exactly delta ||F||; random picks a
-    seeded uniform direction of the same magnitude.
+    adds delta J F, J the quarter turn (v0, v1) -> (-v1, v0) on each
+    coordinate pair (odd dimension leaves the last one), orthogonal to F and
+    of norm exactly delta ||F|| in even dimension; random picks a seeded
+    uniform direction of norm delta ||F||.
     """
 
     strategy: str
@@ -40,7 +42,9 @@ class NoiseAdversary:
 
 
 def apply_noise(adv: NoiseAdversary, value, k: int) -> np.ndarray:
-    """Observed operator value at evaluation index ``k``."""
+    """Observed operator value at evaluation index ``k``. Every strategy but
+    random is a fixed linear map applied along the first axis, so on a
+    matrix it maps each column."""
     value = np.asarray(value, dtype=float)
     if adv.strategy == "none" or adv.delta == 0.0:
         return value
@@ -48,19 +52,15 @@ def apply_noise(adv: NoiseAdversary, value, k: int) -> np.ndarray:
         return (1.0 + adv.delta) * value
     if adv.strategy == "scale_down":
         return (1.0 - adv.delta) * value
+    if adv.strategy == "rotate":
+        m = value.shape[0] // 2 * 2
+        out = value.copy()
+        out[0:m:2] -= adv.delta * value[1:m:2]
+        out[1:m:2] += adv.delta * value[0:m:2]
+        return out
     norm = float(np.linalg.norm(value))
     if norm == 0.0:
         return value
-    if adv.strategy == "rotate":
-        if value.size == 1:
-            return value
-        u = np.zeros_like(value)
-        u[0], u[1] = -value[1], value[0]
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            u[0], u[1] = 1.0, 0.0
-            nu = 1.0
-        return value + adv.delta * norm * (u / nu)
     rng = np.random.default_rng((adv.seed, k))
     g = rng.standard_normal(value.size)
     while float(np.linalg.norm(g)) == 0.0:
@@ -95,22 +95,20 @@ def _implicit_solve(rhs, coeff, span, observe_fixed):
 
 def _implicit_stepper(op, adv, counter, coeff, keep_obs):
     """Per-run solver of x = rhs - coeff * F_obs(x), one observation index per
-    step: closed-form resolvent for linear operators under scaling noise,
-    damped iteration otherwise. Returns (x, F_obs(x)), the observation None
-    unless ``keep_obs``."""
+    step. On a linear operator F(x) = M (x - fp) every strategy but random
+    observes N M (x - fp) for a fixed N, so the step is x = fp +
+    (I + coeff N M)^-1 (rhs - fp), inverted once per run; scalar-noncvx and
+    random noise, nonlinear in x, take the damped iteration. Returns
+    (x, F_obs(x)), the observation None unless ``keep_obs``."""
     linear = op.kind in ("diagonal-quadratic", "bilinear", "minmax-quadratic")
-    if linear and adv.strategy in ("none", "scale_up", "scale_down"):
-        scale = 1.0
-        if adv.strategy == "scale_up":
-            scale += adv.delta
-        elif adv.strategy == "scale_down":
-            scale -= adv.delta
-        resolvent = np.eye(op.dimension) + coeff * scale * op.linear_map()
+    if linear and adv.strategy != "random":
+        noisy_map = apply_noise(adv, op.linear_map(), 0)
+        inv = np.linalg.inv(np.eye(op.dimension) + coeff * noisy_map)
         fp = np.asarray(op.fixed_point)
 
         def solve_linear(rhs):
             idx = next(counter)
-            x = fp + np.linalg.solve(resolvent, rhs - fp)
+            x = fp + inv @ (rhs - fp)
             obs = apply_noise(adv, eval_operator(op, x), idx) if keep_obs else None
             return x, obs
 

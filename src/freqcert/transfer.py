@@ -38,27 +38,21 @@ class MethodSpec:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown method family {self.family!r}")
         required = _FAMILIES[self.family][0]
-        for f in fields(self):
-            if f.name == "family":
-                continue
-            value = getattr(self, f.name)
-            if f.name in required:
-                if value is None:
-                    raise ValueError(f"{self.family} requires field {f.name!r}")
-            elif value is not None:
-                raise ValueError(f"{self.family} does not accept field {f.name!r}")
-        if self.a is not None:
-            object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-        if self.b is not None:
-            object.__setattr__(self, "b", tuple(float(v) for v in self.b))
-        self._validate()
-
-    def _validate(self):
         for f in fields(self)[1:]:  # every field after family is numeric
-            value = getattr(self, f.name)
+            name = f.name
+            value = getattr(self, name)
+            if value is None:
+                if name in required:
+                    raise ValueError(f"{self.family} requires field {name!r}")
+                continue
+            if name not in required:
+                raise ValueError(f"{self.family} does not accept field {name!r}")
+            if name in ("a", "b"):
+                value = tuple(float(v) for v in value)
+                object.__setattr__(self, name, value)
             values = value if isinstance(value, tuple) else (value,)
-            if value is not None and not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{f.name} must be finite")
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{name} must be finite")
         if self.eta is not None and not self.eta > 0:
             raise ValueError("eta must be positive")
         if self.family == "gogd":

@@ -12,6 +12,7 @@ from freqcert.dynamics import (
 )
 from freqcert.operators import (
     bilinear_operator,
+    build_minmax_operator,
     diagonal_quadratic,
     eval_operator,
     scalar_noncvx,
@@ -158,10 +159,34 @@ def test_noise_magnitude_is_exactly_relative():
         adv = NoiseAdversary(strategy, 0.3, seed=11)
         for k in range(50):
             v = rng.uniform(-5, 5, size=3)
-            r = apply_noise(adv, v, k) - v
+            observed = apply_noise(adv, v, k)
+            r = observed - v
             assert np.linalg.norm(r) <= 0.3 * np.linalg.norm(v) + 1e-12
-            if strategy in ("rotate", "random"):
+            if strategy == "random":
                 assert_allclose(np.linalg.norm(r), 0.3 * np.linalg.norm(v), rtol=1e-12)
+            if strategy == "rotate":
+                # a real skew map in odd dimension is singular: the quarter
+                # turns leave the last coordinate alone
+                assert observed[2] == v[2]
+    # in even dimension every coordinate is turned, so the magnitude is exact
+    adv = NoiseAdversary("rotate", 0.3)
+    for n in (2, 4, 6):
+        for _ in range(50):
+            v = rng.uniform(-5, 5, size=n)
+            r = apply_noise(adv, v, 0) - v
+            assert_allclose(np.linalg.norm(r), 0.3 * np.linalg.norm(v), rtol=1e-12)
+
+
+def test_deterministic_noise_maps_a_matrix_column_by_column():
+    # the implicit step builds its resolvent from apply_noise on the
+    # operator's matrix, so that must be the observation map of each column
+    rng = np.random.default_rng(8)
+    for strategy in ("none", "scale_up", "scale_down", "rotate"):
+        adv = NoiseAdversary(strategy, 0.2)
+        for n in (1, 2, 3, 4, 5):
+            M = rng.normal(size=(n, n + 1))
+            columns = [apply_noise(adv, M[:, j], j) for j in range(n + 1)]
+            assert np.array_equal(apply_noise(adv, M, 0), np.column_stack(columns))
 
 
 def test_rotate_is_orthogonal_and_seeded_random_is_deterministic():
@@ -245,6 +270,57 @@ def test_proximal_step_residuals_under_scaling_noise():
         assert np.linalg.norm(res) <= 1e-12 * (1.0 + np.linalg.norm(t.points[k - 1]))
 
 
+def _minmax_operator(rng):
+    sym = lambda: (lambda N: 0.1 * (N + N.T))(rng.normal(size=(2, 2)))
+    return build_minmax_operator(
+        2.0 * np.eye(2) + sym(), 2.0 * np.eye(2) + sym(),
+        0.75 * np.eye(2) + 0.1 * rng.normal(size=(2, 2)), mu=1.0)
+
+
+def _linear_operators(rng):
+    return [
+        diagonal_quadratic(rng.uniform(0.5, 4.0, 5), rng.uniform(-1, 1, 5)),
+        bilinear_operator(rng.normal(size=(3, 3)) + 2.0 * np.eye(3)),
+        _minmax_operator(rng),
+    ]
+
+
+def test_closed_form_implicit_step_solves_the_observed_equation():
+    # each proximal step must satisfy x_(k+1) = x_k - eta F_obs(x_(k+1)) with
+    # the observation apply_noise makes, whichever deterministic strategy
+    rng = np.random.default_rng(12)
+    eta = 0.7
+    for op in _linear_operators(rng):
+        x0 = np.asarray(op.fixed_point) + rng.normal(size=op.dimension)
+        for strategy in ("none", "scale_up", "scale_down", "rotate"):
+            adv = NoiseAdversary(strategy, 0.3)
+            t = run(MethodSpec("pp", eta=eta), op, x0, 20, adversary=adv)
+            for k in range(len(t.points) - 1):
+                x, rhs = t.points[k + 1], t.points[k]
+                res = x - rhs + eta * apply_noise(adv, eval_operator(op, x), k)
+                assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs), (op.kind, strategy)
+
+
+def test_rotate_noise_leaves_every_implicit_step_solvable():
+    # rotate noise is a fixed linear map, so on a linear operator every
+    # implicit step of pp and pid is one linear solve with one solution
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        spectrum = np.concatenate([[0.5, 4.0], rng.uniform(0.5, 4.0, 48)])
+        cases = [diagonal_quadratic(spectrum, rng.uniform(-1, 1, 50)), _minmax_operator(rng)]
+        adv = NoiseAdversary("rotate", float(rng.uniform(0.03, 0.04)))
+        methods = (
+            MethodSpec("pp", eta=float(rng.uniform(0.2, 0.35))),
+            MethodSpec("pid", kp=float(rng.uniform(0.075, 0.1)),
+                       ki=float(rng.uniform(0.11, 0.15)), kd=float(rng.uniform(0.02, 0.03))),
+        )
+        for op in cases:
+            x0 = np.asarray(op.fixed_point) + rng.normal(size=op.dimension)
+            for m in methods:
+                t = run(m, op, x0, 100, adversary=adv)
+                assert not t.diverged, (seed, op.kind, m.family)
+
+
 def test_pid_simulation_matches_its_algebraic_equivalents():
     op = diagonal_quadratic([0.5, 4.0])
     x0 = [1.0, -1.0]
@@ -265,7 +341,8 @@ def test_divergence_is_flagged_and_truncated():
     assert len(t.distances) < 201
     assert t.distances[-1] > 1e6 * t.distances[0]
     # a single-step overflow to non-finite values carries the same invariant
-    t = run(MethodSpec("gd", eta=1e308, a=None), op, [1.0, 1.0], 10)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        t = run(MethodSpec("gd", eta=1e308, a=None), op, [1.0, 1.0], 10)
     assert t.diverged
     assert t.distances[-1] > 1e6 * t.distances[0]
 
