@@ -21,7 +21,7 @@ from .certify import (
     frequency_response,
     gain_threshold,
 )
-from .dynamics import NoiseAdversary, run
+from .dynamics import STRATEGIES, NoiseAdversary, run
 from .games import spectrum_curve
 from .operators import OperatorSpec, SectorParams, json_number, json_numbers
 from .transfer import MethodSpec, build_transfer, tf_equal
@@ -214,11 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--noise-strategy",
-        choices=["none", "scale_up", "scale_down", "rotate", "random"],
-        default="none",
-    )
+    p.add_argument("--noise-strategy", choices=STRATEGIES, default="none")
     p.add_argument("--per-coordinate", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)

@@ -61,11 +61,16 @@ def apply_noise(adv: NoiseAdversary, value, k: int) -> np.ndarray:
     norm = float(np.linalg.norm(value))
     if norm == 0.0:
         return value
+    return value + adv.delta * norm * _random_direction(adv, k, value.size)
+
+
+def _random_direction(adv: NoiseAdversary, k: int, size: int) -> np.ndarray:
+    """The seeded uniform unit direction of random noise at index ``k``."""
     rng = np.random.default_rng((adv.seed, k))
-    g = rng.standard_normal(value.size)
+    g = rng.standard_normal(size)
     while float(np.linalg.norm(g)) == 0.0:
-        g = rng.standard_normal(value.size)
-    return value + adv.delta * norm * (g / np.linalg.norm(g))
+        g = rng.standard_normal(size)
+    return g / np.linalg.norm(g)
 
 
 @dataclass
@@ -95,35 +100,55 @@ def _implicit_solve(rhs, coeff, span, observe_fixed):
 
 def _implicit_stepper(op, adv, counter, coeff, keep_obs):
     """Per-run solver of x = rhs - coeff * F_obs(x), one observation index per
-    step. On a linear operator F(x) = M (x - fp) every strategy but random
-    observes N M (x - fp) for a fixed N, so the step is x = fp +
-    (I + coeff N M)^-1 (rhs - fp), inverted once per run; scalar-noncvx and
-    random noise, nonlinear in x, take the damped iteration. Returns
-    (x, F_obs(x)), the observation None unless ``keep_obs``."""
-    linear = op.kind in ("diagonal-quadratic", "bilinear", "minmax-quadratic")
-    if linear and adv.strategy != "random":
-        noisy_map = apply_noise(adv, op.linear_map(), 0)
-        inv = np.linalg.inv(np.eye(op.dimension) + coeff * noisy_map)
-        fp = np.asarray(op.fixed_point)
+    step. Returns (x, F_obs(x)), the observation None unless ``keep_obs``.
 
-        def solve_linear(rhs):
-            idx = next(counter)
-            x = fp + inv @ (rhs - fp)
-            obs = apply_noise(adv, eval_operator(op, x), idx) if keep_obs else None
-            return x, obs
-
-        return solve_linear
-    try:
+    On a linear operator F(x) = M v, v = x - fp, the step is closed form with
+    R = I + coeff N M inverted once per run. Every strategy but random
+    observes N M v for a fixed N, so v = R^-1 r with r = rhs - fp. Random
+    noise observes M v + delta t u with t = ||M v|| and u the step's seeded
+    unit direction, so (N = I) v = R^-1 (r - coeff delta t u), and t is the
+    nonnegative root of (1 - b.b) t^2 + 2 (a.b) t - a.a = 0 with a = M R^-1 r
+    and b = coeff delta M R^-1 u. For monotone M, coeff M R^-1 is
+    nonexpansive, so ||b|| <= delta and the root is unique when delta < 1.
+    scalar-noncvx, nonlinear in x, takes the damped iteration.
+    """
+    if op.linear_map is None:
         sec = derived_sector(op)
-        span = sec.mu + sec.L
-    except ValueError:
-        span = 2.0 * float(np.linalg.norm(op.linear_map(), 2))
+
+        def solve_damped(rhs):
+            idx = next(counter)
+            return _implicit_solve(
+                rhs, coeff, sec.mu + sec.L, lambda x: apply_noise(adv, eval_operator(op, x), idx)
+            )
+
+        return solve_damped
+    M = op.linear_map
+    fp = np.asarray(op.fixed_point)
+    random = adv.strategy == "random" and adv.delta > 0.0
+    noisy_map = M if random else apply_noise(adv, M, 0)
+    inv = np.linalg.inv(np.eye(op.dimension) + coeff * noisy_map)
+    gain = M @ inv  # M R^-1
+    push = coeff * adv.delta
 
     def solve(rhs):
         idx = next(counter)
-        return _implicit_solve(
-            rhs, coeff, span, lambda x: apply_noise(adv, eval_operator(op, x), idx)
-        )
+        r = rhs - fp
+        if random:
+            u = _random_direction(adv, idx, op.dimension)
+            a, b = gain @ r, push * (gain @ u)
+            aa, ab, bb = a.dot(a), a.dot(b), b.dot(b)
+            if bb >= 1.0:
+                raise ValueError(
+                    "random noise leaves the implicit step no unique solution "
+                    f"(|b| = {math.sqrt(bb):.6g} >= 1)"
+                )
+            disc = math.sqrt(ab * ab + (1.0 - bb) * aa)
+            # two equal forms of the root; each avoids cancellation on its side
+            t = aa / (ab + disc) if ab > 0.0 else (disc - ab) / (1.0 - bb)
+            r = r - push * t * u
+        x = fp + inv @ r
+        obs = apply_noise(adv, eval_operator(op, x), idx) if keep_obs else None
+        return x, obs
 
     return solve
 

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 _SING_TOL = 1e-12
 
-KINDS = ("diagonal-quadratic", "scalar-noncvx", "bilinear", "minmax-quadratic")
+# the JSON fields of each operator kind besides "kind"
+JSON_FIELDS = {
+    "diagonal-quadratic": {"spectrum", "fixed_point"},
+    "scalar-noncvx": set(),
+    "bilinear": {"matrix"},
+    "minmax-quadratic": {"p", "q", "c", "mu"},
+}
+KINDS = tuple(JSON_FIELDS)
 
 
 def json_number(value, name: str) -> float:
@@ -104,59 +111,59 @@ class OperatorSpec:
     jacobian: tuple[tuple[float, ...], ...] | None = None
     mu: float | None = None
     split: int | None = None  # size of the minimizing block for saddle kinds
+    # F(x) = linear_map (x - fixed_point) for every kind but scalar-noncvx
+    # (None there); built once, read-only
+    linear_map: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if len(self.fixed_point) != self.dimension:
             raise ValueError("fixed point dimension mismatch")
+        M = None
         if self.kind == "diagonal-quadratic":
             if self.spectrum is None or len(self.spectrum) != self.dimension:
                 raise ValueError("spectrum must match the dimension")
             if any(s <= 0 for s in self.spectrum):
                 raise ValueError("spectrum entries must be positive")
+            M = np.diag(np.asarray(self.spectrum, dtype=float))
         elif self.kind == "scalar-noncvx":
             if self.dimension != 1 or any(v != 0.0 for v in self.fixed_point):
                 raise ValueError("scalar operator is one-dimensional with fixed point 0")
         elif self.kind == "bilinear":
-            sv = coupling_singular_values(self.matrix)
+            A = np.asarray(self.matrix, dtype=float)
+            sv = coupling_singular_values(A)
             if self.dimension != 2 * sv.size:
                 raise ValueError("dimension must be twice the coupling size")
             if any(v != 0.0 for v in self.fixed_point):
                 raise ValueError("bilinear fixed point is the origin")
-        elif self.kind == "minmax-quadratic":
-            M = np.asarray(self.jacobian, dtype=float)
+            n = sv.size
+            M = np.zeros((2 * n, 2 * n))
+            M[:n, n:] = A
+            M[n:, :n] = -A.T
+        else:
+            M = np.array(self.jacobian, dtype=float)
             if M.ndim != 2 or M.shape != (self.dimension, self.dimension):
                 raise ValueError("jacobian must be square of the declared dimension")
             if self.mu is None or self.mu <= 0:
                 raise ValueError("declared modulus mu must be positive")
             if self.split is None or not 0 < self.split < self.dimension:
                 raise ValueError("saddle operators need a valid block split")
-
-    def linear_map(self) -> np.ndarray:
-        """Full linear map for the linear operator kinds."""
-        if self.kind == "diagonal-quadratic":
-            return np.diag(self.spectrum)
-        if self.kind == "bilinear":
-            A = np.asarray(self.matrix, dtype=float)
-            n = A.shape[0]
-            M = np.zeros((2 * n, 2 * n))
-            M[:n, n:] = A
-            M[n:, :n] = -A.T
-            return M
-        if self.kind == "minmax-quadratic":
-            return np.asarray(self.jacobian, dtype=float)
-        raise ValueError(f"{self.kind} is not linear")
+        if M is not None:
+            M.flags.writeable = False
+        object.__setattr__(self, "linear_map", M)
 
     @classmethod
     def from_json(cls, data: dict) -> "OperatorSpec":
         if not isinstance(data, dict):
             raise ValueError("operator spec must be an object")
         kind = data.get("kind")
+        if kind not in KINDS:
+            raise ValueError(f"unknown operator kind {kind!r}")
+        unknown = set(data) - JSON_FIELDS[kind] - {"kind"}
+        if unknown:
+            raise ValueError(f"unknown operator fields {sorted(unknown)}")
         if kind == "diagonal-quadratic":
-            unknown = set(data) - {"kind", "spectrum", "fixed_point"}
-            if unknown:
-                raise ValueError(f"unknown operator fields {sorted(unknown)}")
             fixed_point = data.get("fixed_point")
             return diagonal_quadratic(
                 json_numbers(data["spectrum"], "spectrum"),
@@ -164,43 +171,11 @@ class OperatorSpec:
                 else json_numbers(fixed_point, "fixed_point"),
             )
         if kind == "scalar-noncvx":
-            unknown = set(data) - {"kind"}
-            if unknown:
-                raise ValueError(f"unknown operator fields {sorted(unknown)}")
             return scalar_noncvx()
         if kind == "bilinear":
-            unknown = set(data) - {"kind", "matrix"}
-            if unknown:
-                raise ValueError(f"unknown operator fields {sorted(unknown)}")
             return bilinear_operator(json_numbers(data["matrix"], "matrix"))
-        if kind == "minmax-quadratic":
-            unknown = set(data) - {"kind", "p", "q", "c", "mu"}
-            if unknown:
-                raise ValueError(f"unknown operator fields {sorted(unknown)}")
-            p, q, c = (json_numbers(data[key], key) for key in ("p", "q", "c"))
-            return build_minmax_operator(p, q, c, mu=json_number(data["mu"], "mu"))
-        raise ValueError(f"unknown operator kind {kind!r}")
-
-    def to_json(self) -> dict:
-        if self.kind == "diagonal-quadratic":
-            return {
-                "kind": self.kind,
-                "spectrum": list(self.spectrum),
-                "fixed_point": list(self.fixed_point),
-            }
-        if self.kind == "scalar-noncvx":
-            return {"kind": self.kind}
-        if self.kind == "bilinear":
-            return {"kind": self.kind, "matrix": [list(r) for r in self.matrix]}
-        n = self.split
-        M = np.asarray(self.jacobian)
-        return {
-            "kind": self.kind,
-            "p": M[:n, :n].tolist(),
-            "q": M[n:, n:].tolist(),
-            "c": M[:n, n:].tolist(),
-            "mu": self.mu,
-        }
+        p, q, c = (json_numbers(data[key], key) for key in ("p", "q", "c"))
+        return build_minmax_operator(p, q, c, mu=json_number(data["mu"], "mu"))
 
 
 def diagonal_quadratic(spectrum, fixed_point=None) -> OperatorSpec:
@@ -287,7 +262,7 @@ def derived_sector(op: OperatorSpec, delta: float = 0.0) -> SectorParams:
     if op.kind == "scalar-noncvx":
         return SectorParams(mu=1.0, L=3.0, delta=delta)
     if op.kind == "minmax-quadratic":
-        M = op.linear_map()
+        M = op.linear_map
         S = 0.5 * (M + M.T)
         mu = float(op.mu)
         L = _max_generalized_eig(M.T @ M, S)
@@ -308,10 +283,9 @@ def eval_operator(op: OperatorSpec, x) -> np.ndarray:
         )
     if op.kind == "scalar-noncvx":
         return 2.0 * x + np.sin(x)
+    M = op.linear_map
     if op.kind == "bilinear":
-        A = np.asarray(op.matrix, dtype=float)
-        n = A.shape[0]
+        n = op.dimension // 2
+        A = M[:n, n:]
         return np.concatenate([A @ x[n:], -A.T @ x[:n]])
-    if op.kind == "diagonal-quadratic":
-        return np.asarray(op.spectrum) * (x - op.fixed_point)
-    return op.linear_map() @ (x - np.asarray(op.fixed_point))
+    return M @ (x - np.asarray(op.fixed_point))

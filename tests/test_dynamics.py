@@ -287,18 +287,45 @@ def _linear_operators(rng):
 
 def test_closed_form_implicit_step_solves_the_observed_equation():
     # each proximal step must satisfy x_(k+1) = x_k - eta F_obs(x_(k+1)) with
-    # the observation apply_noise makes, whichever deterministic strategy
+    # the observation apply_noise makes, whichever strategy
     rng = np.random.default_rng(12)
     eta = 0.7
     for op in _linear_operators(rng):
         x0 = np.asarray(op.fixed_point) + rng.normal(size=op.dimension)
-        for strategy in ("none", "scale_up", "scale_down", "rotate"):
+        for strategy in ("none", "scale_up", "scale_down", "rotate", "random"):
             adv = NoiseAdversary(strategy, 0.3)
             t = run(MethodSpec("pp", eta=eta), op, x0, 20, adversary=adv)
             for k in range(len(t.points) - 1):
                 x, rhs = t.points[k + 1], t.points[k]
                 res = x - rhs + eta * apply_noise(adv, eval_operator(op, x), k)
                 assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs), (op.kind, strategy)
+
+
+def test_random_noise_leaves_every_implicit_step_solvable():
+    # the damped iteration this closed form replaced diverged on bilinear
+    # games: it raised on the first case and on 3 of the 6 pp runs below
+    cases = [(MethodSpec("pp", eta=2.0), bilinear_operator([[1.0]]), [1.0, 1.0],
+              NoiseAdversary("random", 1e-4, seed=1))]
+    rng = np.random.default_rng(4)
+    op = bilinear_operator(rng.normal(size=(3, 3)) + 2.0 * np.eye(3))
+    for eta in rng.uniform(0.2, 1.0, 6):
+        adv = NoiseAdversary("random", float(rng.uniform(0.03, 0.3)), seed=int(rng.integers(1 << 30)))
+        cases.append((MethodSpec("pp", eta=float(eta)), op, rng.normal(size=6), adv))
+    for m, op, x0, adv in cases:
+        t = run(m, op, x0, 50, adversary=adv)
+        for k in range(len(t.points) - 1):
+            x, rhs = t.points[k + 1], t.points[k]
+            res = x - rhs + m.eta * apply_noise(adv, eval_operator(op, x), k)
+            assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs), m.eta
+
+
+def test_random_noise_beyond_the_resolvent_bound_raises():
+    # on F(x) = 4x with delta = 2, F_obs(x) = 4x + 8 |x| u with u = +-1, so
+    # x + F_obs(x) is 13x on one side of 0 and -3x on the other, and the
+    # implicit step x = rhs - F_obs(x) has two solutions or none
+    with pytest.raises(ValueError, match="no unique solution"):
+        run(MethodSpec("pp", eta=1.0), diagonal_quadratic([4.0]), [1.0], 5,
+            adversary=NoiseAdversary("random", 2.0))
 
 
 def test_rotate_noise_leaves_every_implicit_step_solvable():

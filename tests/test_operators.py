@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from conftest import check_sector, sample_pairs
 from freqcert.operators import (
+    KINDS,
     OperatorSpec,
     SectorParams,
     bilinear_operator,
@@ -175,21 +176,40 @@ def test_sector_params_reject_non_finite_values(mu, L, delta):
         SectorParams(mu, L, delta)
 
 
-def test_operator_json_round_trip():
-    ops = [
-        scalar_noncvx(),
-        diagonal_quadratic([1.0, 2.0], fixed_point=[3.0, -1.0]),
-        bilinear_operator([[1.0, 0.2], [0.0, 2.0]]),
-        build_minmax_operator([[1.0]], [[1.5]], [[0.3]], mu=0.5),
-    ]
-    for op in ops:
-        rebuilt = OperatorSpec.from_json(op.to_json())
-        assert rebuilt.kind == op.kind
-        assert rebuilt.dimension == op.dimension
+# one literal config per kind, with the operator its constructor builds
+OPERATOR_CONFIGS = [
+    ({"kind": "scalar-noncvx"}, scalar_noncvx()),
+    ({"kind": "diagonal-quadratic", "spectrum": [1.0, 2.0], "fixed_point": [3.0, -1.0]},
+     diagonal_quadratic([1.0, 2.0], fixed_point=[3.0, -1.0])),
+    ({"kind": "bilinear", "matrix": [[1.0, 0.2], [0.0, 2.0]]},
+     bilinear_operator([[1.0, 0.2], [0.0, 2.0]])),
+    ({"kind": "minmax-quadratic", "p": [[1.0]], "q": [[1.5]], "c": [[0.3]], "mu": 0.5},
+     build_minmax_operator([[1.0]], [[1.5]], [[0.3]], mu=0.5)),
+]
+
+
+def test_operator_from_json_matches_its_constructor():
+    assert sorted(cfg["kind"] for cfg, _ in OPERATOR_CONFIGS) == sorted(KINDS)
+    for cfg, op in OPERATOR_CONFIGS:
+        parsed = OperatorSpec.from_json(cfg)
+        assert parsed == op, cfg["kind"]
         x = np.linspace(0.5, 1.5, op.dimension)
-        assert_allclose(eval_operator(rebuilt, x), eval_operator(op, x), rtol=1e-12)
-    with pytest.raises(ValueError):
-        OperatorSpec.from_json({"kind": "scalar-noncvx", "extra": 1})
+        assert_allclose(eval_operator(parsed, x), eval_operator(op, x), rtol=1e-15)
+
+
+@pytest.mark.parametrize("cfg", [cfg for cfg, _ in OPERATOR_CONFIGS], ids=lambda c: c["kind"])
+def test_operator_from_json_rejects_an_extra_field(cfg):
+    with pytest.raises(ValueError, match="unknown operator fields"):
+        OperatorSpec.from_json({**cfg, "extra": 1})
+
+
+def test_linear_map_is_read_only():
+    op = bilinear_operator([[1.0, 0.2], [0.0, 2.0]])
+    assert_allclose(op.linear_map, [[0, 0, 1.0, 0.2], [0, 0, 0, 2.0],
+                                    [-1.0, 0, 0, 0], [-0.2, -2.0, 0, 0]])
+    with pytest.raises(ValueError, match="read-only"):
+        op.linear_map[0, 0] = 1.0
+    assert scalar_noncvx().linear_map is None
 
 
 def test_check_sector_requires_samples():
