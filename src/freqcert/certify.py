@@ -8,7 +8,7 @@ supremum gain below 1 / ((L - mu)/2 + L delta). The noiseless threshold is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -53,15 +53,7 @@ class CertificationResult:
     diagnostics: str
 
     def to_json(self) -> dict:
-        return {
-            "proper_ok": self.proper_ok,
-            "stable_ok": self.stable_ok,
-            "gain": self.gain,
-            "threshold": self.threshold,
-            "margin": self.margin,
-            "certified": self.certified,
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)
 
 
 def gain_threshold(sector: SectorParams) -> float:
@@ -176,20 +168,26 @@ def max_learning_rate(
 ) -> float | None:
     """Largest step size, to width 1e-6 / L, whose method still certifies at
     ``RHO_PROBE``. ``method`` acts as a template; its ``eta`` field is swept
-    over (0, 4/mu]. Returns None when no step size certifies."""
+    over (0, 4/mu]. Returns None when no step size certifies.
+
+    Properness does not depend on the step size: eta scales every numerator
+    coefficient of K and no denominator coefficient. So the probe at the cap
+    decides it once, before any gain is computed."""
     if method.eta is None:
         raise ValueError("method family must carry a learning-rate field")
     tol = 1e-6 / sector.L
     threshold = gain_threshold(sector)
+    cap = 4.0 / sector.mu
+    k, shifted = _shifted_loop(replace(method, eta=cap), sector)
+    if not (k.strictly_proper or allow_improper):
+        return None
+    if _certified_at(shifted, RHO_PROBE, threshold)[0]:
+        return cap
 
     def certifiable(eta: float) -> bool:
-        k, shifted = _shifted_loop(replace(method, eta=eta), sector)
-        certified, _ = _certified_at(shifted, RHO_PROBE, threshold)
-        return certified and (k.strictly_proper or allow_improper)
+        shifted = _shifted_loop(replace(method, eta=eta), sector)[1]
+        return _certified_at(shifted, RHO_PROBE, threshold)[0]
 
-    cap = 4.0 / sector.mu
-    if certifiable(cap):
-        return cap
     bad = eta = cap
     for _ in range(80):
         eta /= 2.0

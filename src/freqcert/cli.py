@@ -23,7 +23,7 @@ from .certify import (
 )
 from .dynamics import STRATEGIES, NoiseAdversary, run
 from .games import spectrum_curve
-from .operators import OperatorSpec, SectorParams, json_number, json_numbers
+from .operators import OperatorSpec, SectorParams, json_number, json_numbers, json_object
 from .transfer import MethodSpec, build_transfer, tf_equal
 
 EXIT_OK = 0
@@ -37,16 +37,7 @@ def _fmt(v) -> str:
 
 def _load_config(path: str, required: set, optional: set) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("config must be a JSON object")
-    missing = required - set(cfg)
-    if missing:
-        raise ValueError(f"config is missing fields {sorted(missing)}")
-    unknown = set(cfg) - required - optional
-    if unknown:
-        raise ValueError(f"config has unknown fields {sorted(unknown)}")
-    return cfg
+        return json_object(json.load(fh), "config", required, optional)
 
 
 def _allow_improper(cfg: dict, args) -> bool:

@@ -58,10 +58,15 @@ def apply_noise(adv: NoiseAdversary, value, k: int) -> np.ndarray:
         out[0:m:2] -= adv.delta * value[1:m:2]
         out[1:m:2] += adv.delta * value[0:m:2]
         return out
+    return _random_noise(adv, value, _random_direction(adv, k, value.size))
+
+
+def _random_noise(adv: NoiseAdversary, value: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``value`` observed under random noise along the unit direction ``u``."""
     norm = float(np.linalg.norm(value))
     if norm == 0.0:
         return value
-    return value + adv.delta * norm * _random_direction(adv, k, value.size)
+    return value + adv.delta * norm * u
 
 
 def _random_direction(adv: NoiseAdversary, k: int, size: int) -> np.ndarray:
@@ -147,8 +152,11 @@ def _implicit_stepper(op, adv, counter, coeff, keep_obs):
             t = aa / (ab + disc) if ab > 0.0 else (disc - ab) / (1.0 - bb)
             r = r - push * t * u
         x = fp + inv @ r
-        obs = apply_noise(adv, eval_operator(op, x), idx) if keep_obs else None
-        return x, obs
+        if not keep_obs:
+            return x, None
+        value = eval_operator(op, x)
+        # random noise observes along the direction the step was solved for
+        return x, _random_noise(adv, value, u) if random else apply_noise(adv, value, idx)
 
     return solve
 

@@ -26,9 +26,8 @@ _SIM_BOUNDARY = 1.0 / np.sqrt(3.0)
 
 @dataclass(frozen=True)
 class BilinearGame:
-    """Square non-singular coupling A with the derived spectral data."""
+    """Spectral data of a square non-singular coupling A."""
 
-    A: tuple[tuple[float, ...], ...]
     gamma: float
     eigs_AAT: tuple[float, ...]
 
@@ -36,11 +35,7 @@ class BilinearGame:
     def from_matrix(cls, matrix) -> "BilinearGame":
         sv = coupling_singular_values(matrix)
         # the eigenvalues of AA' are the squared singular values of A
-        return cls(
-            A=tuple(tuple(row) for row in np.asarray(matrix, dtype=float)),
-            gamma=float(sv[0]),
-            eigs_AAT=tuple(sorted(float(s * s) for s in sv)),
-        )
+        return cls(gamma=float(sv[0]), eigs_AAT=tuple(sorted(float(s * s) for s in sv)))
 
 
 def game_factor(method: MethodSpec, mode: str, lam: float) -> Polynomial:

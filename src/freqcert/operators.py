@@ -3,31 +3,48 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 _SING_TOL = 1e-12
 
-# the JSON fields of each operator kind besides "kind"
+# the required and the optional JSON fields of each operator kind besides "kind"
 JSON_FIELDS = {
-    "diagonal-quadratic": {"spectrum", "fixed_point"},
-    "scalar-noncvx": set(),
-    "bilinear": {"matrix"},
-    "minmax-quadratic": {"p", "q", "c", "mu"},
+    "diagonal-quadratic": ({"spectrum"}, {"fixed_point"}),
+    "scalar-noncvx": (set(), set()),
+    "bilinear": ({"matrix"}, set()),
+    "minmax-quadratic": ({"p", "q", "c", "mu"}, set()),
 }
 KINDS = tuple(JSON_FIELDS)
 
 
+def json_object(data, what: str, required, optional) -> dict:
+    """A config value that must be a JSON object with every ``required`` field
+    and no field outside ``required`` and ``optional``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = set(data) - set(required) - set(optional)
+    if unknown:
+        raise ValueError(f"unknown {what} fields {sorted(unknown)}")
+    missing = set(required) - set(data)
+    if missing:
+        raise ValueError(f"{what} requires fields {sorted(missing)}")
+    return data
+
+
 def json_number(value, name: str) -> float:
-    """A config value that must be a JSON number; strings and booleans are
-    rejected rather than coerced by ``float``."""
+    """A config value that must be a finite JSON number; strings and booleans
+    are rejected rather than coerced by ``float``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a JSON number, not {value!r}")
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:  # an integer literal beyond the float range
         raise ValueError(f"{name} must be a JSON number in the float range") from None
+    if not math.isfinite(value):  # json.load reads NaN, Infinity and 1e999
+        raise ValueError(f"{name} must be finite")
+    return value
 
 
 def json_numbers(value, name: str) -> tuple:
@@ -69,27 +86,13 @@ class SectorParams:
         if self.delta < 0.0:
             raise ValueError("delta must be nonnegative")
 
-    @property
-    def kappa_inv(self) -> float:
-        return self.mu / self.L
-
     @classmethod
     def from_json(cls, data: dict) -> "SectorParams":
-        if not isinstance(data, dict):
-            raise ValueError("sector spec must be an object")
-        unknown = set(data) - {"mu", "L", "delta"}
-        if unknown:
-            raise ValueError(f"unknown sector fields {sorted(unknown)}")
-        if "mu" not in data or "L" not in data:
-            raise ValueError("sector requires fields 'mu' and 'L'")
-        return cls(
-            mu=json_number(data["mu"], "mu"),
-            L=json_number(data["L"], "L"),
-            delta=json_number(data.get("delta", 0.0), "delta"),
-        )
+        data = json_object(data, "sector", {"mu", "L"}, {"delta"})
+        return cls(**{key: json_number(value, key) for key, value in data.items()})
 
     def to_json(self) -> dict:
-        return {"mu": self.mu, "L": self.L, "delta": self.delta}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -104,13 +107,11 @@ class OperatorSpec:
     """
 
     kind: str
-    dimension: int
     fixed_point: tuple[float, ...]
     spectrum: tuple[float, ...] | None = None
     matrix: tuple[tuple[float, ...], ...] | None = None
     jacobian: tuple[tuple[float, ...], ...] | None = None
     mu: float | None = None
-    split: int | None = None  # size of the minimizing block for saddle kinds
     # F(x) = linear_map (x - fixed_point) for every kind but scalar-noncvx
     # (None there); built once, read-only
     linear_map: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -118,8 +119,6 @@ class OperatorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        if len(self.fixed_point) != self.dimension:
-            raise ValueError("fixed point dimension mismatch")
         M = None
         if self.kind == "diagonal-quadratic":
             if self.spectrum is None or len(self.spectrum) != self.dimension:
@@ -145,37 +144,37 @@ class OperatorSpec:
             M = np.array(self.jacobian, dtype=float)
             if M.ndim != 2 or M.shape != (self.dimension, self.dimension):
                 raise ValueError("jacobian must be square of the declared dimension")
-            if self.mu is None or self.mu <= 0:
+            if self.mu is None or not self.mu > 0:
                 raise ValueError("declared modulus mu must be positive")
-            if self.split is None or not 0 < self.split < self.dimension:
-                raise ValueError("saddle operators need a valid block split")
         if M is not None:
             M.flags.writeable = False
         object.__setattr__(self, "linear_map", M)
 
+    @property
+    def dimension(self) -> int:
+        return len(self.fixed_point)
+
     @classmethod
     def from_json(cls, data: dict) -> "OperatorSpec":
-        if not isinstance(data, dict):
-            raise ValueError("operator spec must be an object")
-        kind = data.get("kind")
+        # the object and its kind first, then the fields of that kind
+        every_field = set().union(*(r | o for r, o in JSON_FIELDS.values()))
+        kind = json_object(data, "operator", {"kind"}, every_field)["kind"]
         if kind not in KINDS:
             raise ValueError(f"unknown operator kind {kind!r}")
-        unknown = set(data) - JSON_FIELDS[kind] - {"kind"}
-        if unknown:
-            raise ValueError(f"unknown operator fields {sorted(unknown)}")
-        if kind == "diagonal-quadratic":
-            fixed_point = data.get("fixed_point")
-            return diagonal_quadratic(
-                json_numbers(data["spectrum"], "spectrum"),
-                fixed_point=None if fixed_point is None
-                else json_numbers(fixed_point, "fixed_point"),
-            )
-        if kind == "scalar-noncvx":
-            return scalar_noncvx()
-        if kind == "bilinear":
-            return bilinear_operator(json_numbers(data["matrix"], "matrix"))
-        p, q, c = (json_numbers(data[key], key) for key in ("p", "q", "c"))
-        return build_minmax_operator(p, q, c, mu=json_number(data["mu"], "mu"))
+        required, optional = JSON_FIELDS[kind]
+        json_object(data, "operator", required | {"kind"}, optional)
+        # every JSON field is the keyword argument of that name of the kind's constructor
+        args = {
+            key: (json_number if key == "mu" else json_numbers)(value, key)
+            for key, value in data.items() if key != "kind"
+        }
+        build = {
+            "diagonal-quadratic": diagonal_quadratic,
+            "scalar-noncvx": scalar_noncvx,
+            "bilinear": bilinear_operator,
+            "minmax-quadratic": build_minmax_operator,
+        }
+        return build[kind](**args)
 
 
 def diagonal_quadratic(spectrum, fixed_point=None) -> OperatorSpec:
@@ -184,28 +183,21 @@ def diagonal_quadratic(spectrum, fixed_point=None) -> OperatorSpec:
         fixed_point = (0.0,) * len(spectrum)
     return OperatorSpec(
         kind="diagonal-quadratic",
-        dimension=len(spectrum),
         fixed_point=tuple(float(v) for v in fixed_point),
         spectrum=spectrum,
     )
 
 
 def scalar_noncvx() -> OperatorSpec:
-    return OperatorSpec(kind="scalar-noncvx", dimension=1, fixed_point=(0.0,))
+    return OperatorSpec(kind="scalar-noncvx", fixed_point=(0.0,))
 
 
 def bilinear_operator(matrix) -> OperatorSpec:
     matrix = tuple(tuple(float(v) for v in row) for row in matrix)
-    n = len(matrix)
-    return OperatorSpec(
-        kind="bilinear",
-        dimension=2 * n,
-        fixed_point=(0.0,) * (2 * n),
-        matrix=matrix,
-    )
+    return OperatorSpec(kind="bilinear", fixed_point=(0.0,) * (2 * len(matrix)), matrix=matrix)
 
 
-def build_minmax_operator(p_block, q_block, coupling, mu: float) -> OperatorSpec:
+def build_minmax_operator(p, q, c, mu: float) -> OperatorSpec:
     """Saddle gradients of f(x, y) = x'Px/2 + x'Cy - y'Qy/2.
 
     The declared modulus ``mu`` must not exceed the strong convexity of P and
@@ -213,14 +205,10 @@ def build_minmax_operator(p_block, q_block, coupling, mu: float) -> OperatorSpec
     rejected with a diagnostic. The sector constant L follows from the
     Jacobian, see :func:`derived_sector`.
     """
-    P = np.atleast_2d(np.asarray(p_block, dtype=float))
-    Q = np.atleast_2d(np.asarray(q_block, dtype=float))
-    C = np.atleast_2d(np.asarray(coupling, dtype=float))
+    P, Q, C = (np.atleast_2d(np.asarray(b, dtype=float)) for b in (p, q, c))
     n, m = P.shape[0], Q.shape[0]
     if P.shape != (n, n) or Q.shape != (m, m) or C.shape != (n, m):
         raise ValueError("block shapes are inconsistent")
-    if mu <= 0:
-        raise ValueError("declared modulus mu must be positive")
     for name, block in (("convexity block", P), ("concavity block", Q)):
         lam = float(np.min(np.linalg.eigvalsh(0.5 * (block + block.T))))
         if lam < mu - 1e-12:
@@ -230,11 +218,9 @@ def build_minmax_operator(p_block, q_block, coupling, mu: float) -> OperatorSpec
     M = np.block([[P, C], [-C.T, Q]])
     return OperatorSpec(
         kind="minmax-quadratic",
-        dimension=n + m,
         fixed_point=(0.0,) * (n + m),
         jacobian=tuple(tuple(row) for row in M),
         mu=mu,
-        split=n,
     )
 
 
@@ -246,7 +232,7 @@ def _max_generalized_eig(T: np.ndarray, S: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvalsh(0.5 * (sym + sym.T))))
 
 
-def derived_sector(op: OperatorSpec, delta: float = 0.0) -> SectorParams:
+def derived_sector(op: OperatorSpec) -> SectorParams:
     """Tightest sector the operator provably satisfies.
 
     For the linear saddle kinds the co-coercivity constant is the largest
@@ -258,9 +244,9 @@ def derived_sector(op: OperatorSpec, delta: float = 0.0) -> SectorParams:
         lo, hi = min(op.spectrum), max(op.spectrum)
         if not lo < hi:
             raise ValueError("spectrum is degenerate, no strict sector exists")
-        return SectorParams(mu=lo, L=hi, delta=delta)
+        return SectorParams(mu=lo, L=hi)
     if op.kind == "scalar-noncvx":
-        return SectorParams(mu=1.0, L=3.0, delta=delta)
+        return SectorParams(mu=1.0, L=3.0)
     if op.kind == "minmax-quadratic":
         M = op.linear_map
         S = 0.5 * (M + M.T)
@@ -270,7 +256,7 @@ def derived_sector(op: OperatorSpec, delta: float = 0.0) -> SectorParams:
         if float(np.min(np.linalg.eigvalsh(gap))) > 1e-12:
             L_qsb = _max_generalized_eig(M.T @ M - mu * S, gap)
             L = max(L, L_qsb)
-        return SectorParams(mu=mu, L=L, delta=delta)
+        return SectorParams(mu=mu, L=L)
     raise ValueError(f"{op.kind} admits no strongly monotone sector")
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .operators import json_number, json_numbers
+from .operators import json_number, json_numbers, json_object
 from .stability import COEFF_TRIM_TOL, trim
 
 EQUAL_TOL = 1e-12
@@ -53,20 +53,12 @@ class MethodSpec:
             values = value if isinstance(value, tuple) else (value,)
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"{name} must be finite")
-        if self.eta is not None and not self.eta > 0:
-            raise ValueError("eta must be positive")
-        if self.family == "gogd":
-            if not self.alpha > 0:
-                raise ValueError("alpha must be positive")
-            if self.beta < 0:
-                raise ValueError("beta must be nonnegative")
-        if self.family == "pid":
-            if self.kp < 0:
-                raise ValueError("kp must be nonnegative")
-            if not self.ki > 0:
-                raise ValueError("ki must be positive")
-        if self.family in ("hgd", "general"):
-            if len(self.a) < 1:
+            # the one value rule of each field, the same in every family
+            if name in ("eta", "alpha", "ki") and not value > 0:
+                raise ValueError(f"{name} must be positive")
+            if name in ("beta", "kp") and value < 0:
+                raise ValueError(f"{name} must be nonnegative")
+            if name == "a" and not value:
                 raise ValueError("horizon must be at least 1")
         if self.family == "general":
             if len(self.b) != len(self.a):
@@ -76,22 +68,15 @@ class MethodSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "MethodSpec":
-        if not isinstance(data, dict):
-            raise ValueError("method spec must be an object")
-        family = data.get("family")
+        family = json_object(data, "method", {"family"}, {f.name for f in fields(cls)})["family"]
         if family not in _FAMILIES:
             raise ValueError(f"unknown method family {family!r}")
-        allowed = set(_FAMILIES[family][0]) | {"family"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(f"unknown method fields {sorted(unknown)}")
-        kwargs = {}
-        for key in _FAMILIES[family][0]:
-            if key not in data:
-                raise ValueError(f"{family} requires field {key!r}")
-            read = json_numbers if key in ("a", "b") else json_number
-            kwargs[key] = read(data[key], key)
-        return cls(family=family, **kwargs)
+        required = _FAMILIES[family][0]
+        json_object(data, "method", {"family", *required}, ())
+        return cls(family, **{
+            key: (json_numbers if key in ("a", "b") else json_number)(data[key], key)
+            for key in required
+        })
 
     def to_json(self) -> dict:
         out = {"family": self.family}
@@ -281,7 +266,7 @@ def rho_scale(k: RationalTF, rho: float) -> RationalTF:
     )
 
 
-def tf_equal(a: RationalTF, b: RationalTF, tol: float = EQUAL_TOL) -> bool:
+def tf_equal(a: RationalTF, b: RationalTF) -> bool:
     """Equality of rational functions via cross-multiplied coefficients."""
     pa = np.convolve(a.num, b.den)
     pb = np.convolve(b.num, a.den)
@@ -291,7 +276,7 @@ def tf_equal(a: RationalTF, b: RationalTF, tol: float = EQUAL_TOL) -> bool:
     scale = max(np.max(np.abs(pa)), np.max(np.abs(pb)))
     if scale == 0.0:
         return True
-    return bool(np.max(np.abs(pa - pb)) <= tol * scale)
+    return bool(np.max(np.abs(pa - pb)) <= EQUAL_TOL * scale)
 
 
 def evaluate(k: RationalTF, z: complex) -> complex:

@@ -125,7 +125,7 @@ def test_best_rate_pp():
 def test_best_rate_ogd_beats_the_sufficient_bound():
     eps = 0.5
     eta = (2.0 / (3.0 * SECTOR.L)) * (1.0 - eps)
-    bound = 1.0 - (2.0 / 3.0) * eps * (1.0 - eps) * SECTOR.kappa_inv
+    bound = 1.0 - (2.0 / 3.0) * eps * (1.0 - eps) * SECTOR.mu / SECTOR.L
     got = best_rate(MethodSpec("ogd", eta=eta), SECTOR)
     assert got <= bound + 1e-4
 
@@ -431,6 +431,15 @@ def test_max_learning_rate_probes_without_certify(monkeypatch):
     assert certifies == []
     assert len(gains) > 20  # one hinf_norm per probe
     assert len(builds) == len(scales) == len(gains)
+
+
+def test_max_learning_rate_rejects_an_improper_template_at_the_cap(monkeypatch):
+    # properness does not depend on eta, so the first probe decides it
+    builds = _count_calls(monkeypatch, certify_mod, "build_transfer")
+    gains = _count_calls(monkeypatch, certify_mod, "hinf_norm")
+    assert max_learning_rate(MethodSpec("pp", eta=0.1), SECTOR) is None
+    assert len(builds) == 1
+    assert gains == []
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.04])

@@ -379,3 +379,84 @@ def test_equivalence_verdicts(capsys):
 
 def test_equivalence_rejects_malformed_json():
     assert main(["equivalence", "--lhs", "{bad", "--rhs", '{"family":"gd","eta":0.1}']) == 1
+
+
+CERTIFY_BASE = {"method": {"family": "gogd", "alpha": 0.1, "beta": 0.05},
+                "sector": {"mu": 0.5, "L": 4}, "rho": 0.9}
+SIMULATE_BASE = {"method": {"family": "gd", "eta": 0.3}, "x0": [0.5, 1.0]}
+# one base operator config per kind, with the field it cannot do without
+OPERATORS = [
+    ({"kind": "diagonal-quadratic", "spectrum": [1.0, 2.0]}, "spectrum"),
+    ({"kind": "scalar-noncvx"}, "kind"),
+    ({"kind": "bilinear", "matrix": [[1.0]]}, "matrix"),
+    ({"kind": "minmax-quadratic", "p": [[2.0]], "q": [[2.0]], "c": [[0.5]], "mu": 1.0}, "mu"),
+]
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+def _schema_cases():
+    def case(name, command, payload, message):
+        return pytest.param(command, payload, message, id=name)
+
+    cases = [
+        case("config-missing", "certify", _without(CERTIFY_BASE, "rho"),
+             "config requires fields ['rho']"),
+        case("config-extra", "certify", {**CERTIFY_BASE, "extra": 1},
+             "unknown config fields ['extra']"),
+    ]
+    for part, field in (("sector", "L"), ("method", "beta")):
+        cases.append(case(f"{part}-missing", "certify",
+                          {**CERTIFY_BASE, part: _without(CERTIFY_BASE[part], field)},
+                          f"{part} requires fields ['{field}']"))
+        cases.append(case(f"{part}-extra", "certify",
+                          {**CERTIFY_BASE, part: {**CERTIFY_BASE[part], "extra": 1}},
+                          f"unknown {part} fields ['extra']"))
+    for operator, field in OPERATORS:
+        kind = operator["kind"]
+        cases.append(case(f"{kind}-missing", "simulate",
+                          {**SIMULATE_BASE, "operator": _without(operator, field)},
+                          f"operator requires fields ['{field}']"))
+        cases.append(case(f"{kind}-extra", "simulate",
+                          {**SIMULATE_BASE, "operator": {**operator, "extra": 1}},
+                          "unknown operator fields ['extra']"))
+    return cases
+
+
+@pytest.mark.parametrize("command, payload, message", _schema_cases())
+def test_missing_and_extra_fields_are_named(tmp_path, capsys, command, payload, message):
+    # config, sector, method and every operator kind share one field check
+    cfg = _write(tmp_path, "schema.json", payload)
+    argv = [command, "--config", cfg]
+    if command == "simulate":
+        argv += ["--steps", "5", "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "field, payload",
+    [
+        ("spectrum", {"operator": {"kind": "diagonal-quadratic",
+                                   "spectrum": [float("nan"), 2.0]}}),
+        ("fixed_point", {"operator": {"kind": "diagonal-quadratic", "spectrum": [1.0, 2.0],
+                                      "fixed_point": [float("inf"), 0]}}),
+        ("x0", {"x0": [float("nan"), 1.0]}),
+        ("noise_delta", {"noise_delta": float("inf")}),
+        ("mu", {"operator": {"kind": "minmax-quadratic", "p": [[2.0]], "q": [[2.0]],
+                             "c": [[0.5]], "mu": float("nan")}}),
+    ],
+)
+def test_simulate_rejects_non_finite_numbers(tmp_path, capsys, field, payload):
+    # json.load reads the NaN and Infinity literals that json.dumps writes here
+    cfg = _write(tmp_path, "nonfinite.json", {
+        **SIMULATE_BASE, "operator": {"kind": "diagonal-quadratic", "spectrum": [1.0, 2.0]},
+        **payload,
+    })
+    out = tmp_path / "t.csv"
+    assert main(["simulate", "--config", cfg, "--steps", "5", "--noise-strategy", "random",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {field} must be finite\n"
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -448,3 +450,23 @@ def test_simulator_and_certifier_see_the_same_system():
             steps = max(60, int(np.log(1e-9) / np.log(radius)))
             t = run(m, diagonal_quadratic([lam]), [1.0], steps)
             assert abs(estimate_rate(t) - radius) <= 1e-6, (m.family, lam)
+
+
+def test_random_noise_draws_each_direction_once(monkeypatch):
+    # pid observes once at x0 and once per implicit step; the step's solve
+    # and its kept observation share one seeded draw
+    dynamics = importlib.import_module("freqcert.dynamics")
+    draws = []
+    draw = dynamics._random_direction
+
+    def counted(adv, k, size):
+        draws.append(k)
+        return draw(adv, k, size)
+
+    monkeypatch.setattr(dynamics, "_random_direction", counted)
+    steps = 40
+    op = diagonal_quadratic(np.linspace(0.5, 4.0, 6))
+    t = run(MethodSpec("pid", kp=0.09, ki=0.13, kd=0.025), op, np.ones(6), steps,
+            NoiseAdversary("random", 0.04, seed=5))
+    assert not t.diverged and len(t.distances) == steps + 1
+    assert draws == list(range(steps + 1))

@@ -166,7 +166,6 @@ def test_sector_params_validation():
         SectorParams(2.0, 1.0)
     with pytest.raises(ValueError):
         SectorParams(1.0, 2.0, delta=-0.1)
-    assert_allclose(SectorParams(0.5, 4.0).kappa_inv, 0.125)
 
 
 @pytest.mark.parametrize("mu,L,delta", [(0.5, 4.0, np.nan), (0.5, np.inf, 0.0), (np.nan, 4.0, 0.0)])

@@ -289,3 +289,42 @@ def test_method_spec_rejects_unknown_fields():
         MethodSpec.from_json({"family": "warp", "eta": 0.1})
     with pytest.raises(ValueError):
         MethodSpec("gd", eta=0.1, alpha=0.5)
+
+
+# one valid spec per family
+VALID_FIELDS = {
+    "gd": dict(eta=0.1),
+    "ogd": dict(eta=0.1),
+    "gogd": dict(alpha=0.1, beta=0.05),
+    "pp": dict(eta=0.1),
+    "pid": dict(kp=0.1, ki=0.2, kd=0.05),
+    "hgd": dict(eta=0.1, a=(1.0,)),
+    "general": dict(eta=0.1, a=(1.0,), b=(1.0,)),
+    "pegd": dict(eta=0.1),
+    "rgd": dict(eta=0.1),
+}
+# each field's value rule: values that break it and the message they raise
+VALUE_RULES = {
+    "eta": ((0.0, -0.1), "eta must be positive"),
+    "alpha": ((0.0, -0.1), "alpha must be positive"),
+    "ki": ((0.0, -0.1), "ki must be positive"),
+    "beta": ((-0.1,), "beta must be nonnegative"),
+    "kp": ((-0.1,), "kp must be nonnegative"),
+    "a": (((),), "horizon must be at least 1"),
+}
+
+
+@pytest.mark.parametrize(
+    "family, field, bad, message",
+    [
+        (family, field, bad, message)
+        for family, valid in VALID_FIELDS.items()
+        for field, (bads, message) in VALUE_RULES.items()
+        if field in valid
+        for bad in bads
+    ],
+)
+def test_each_value_rule_holds_in_every_family_that_takes_the_field(family, field, bad, message):
+    MethodSpec(family, **VALID_FIELDS[family])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MethodSpec(family, **{**VALID_FIELDS[family], field: bad})
