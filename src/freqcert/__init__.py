@@ -23,7 +23,7 @@ from .operators import (
     eval_operator,
     scalar_noncvx,
 )
-from .stability import Polynomial, is_schur, roots, spectral_radius_poly
+from .stability import is_schur, roots, spectral_radius_poly
 from .transfer import (
     MethodSpec,
     RationalTF,

@@ -170,30 +170,27 @@ def max_learning_rate(
     ``RHO_PROBE``. ``method`` acts as a template; its ``eta`` field is swept
     over (0, 4/mu]. Returns None when no step size certifies.
 
-    Properness does not depend on the step size: eta scales every numerator
-    coefficient of K and no denominator coefficient. So the probe at the cap
-    decides it once, before any gain is computed."""
+    The step size scales every numerator coefficient of K and no denominator
+    coefficient: K = eta K1. So K1 is built once and decides properness,
+    and each probe scales its numerator."""
     if method.eta is None:
         raise ValueError("method family must carry a learning-rate field")
-    tol = 1e-6 / sector.L
-    threshold = gain_threshold(sector)
-    cap = 4.0 / sector.mu
-    k, shifted = _shifted_loop(replace(method, eta=cap), sector)
-    if not (k.strictly_proper or allow_improper):
+    unit = build_transfer(replace(method, eta=1.0))
+    if not (unit.strictly_proper or allow_improper):
         return None
-    if _certified_at(shifted, RHO_PROBE, threshold)[0]:
-        return cap
+    h = _shift(sector)
+    threshold = gain_threshold(sector)
 
     def certifiable(eta: float) -> bool:
-        shifted = _shifted_loop(replace(method, eta=eta), sector)[1]
-        return _certified_at(shifted, RHO_PROBE, threshold)[0]
+        k = RationalTF(tuple(eta * c for c in unit.num), unit.den)
+        return _certified_at(complementary_sensitivity(k, h), RHO_PROBE, threshold)[0]
 
-    bad = eta = cap
-    for _ in range(80):
-        eta /= 2.0
+    bad = eta = 4.0 / sector.mu
+    for _ in range(81):  # the cap, then 80 halvings
         if certifiable(eta):
-            return _bisect(certifiable, eta, bad, tol)
+            return _bisect(certifiable, eta, bad, 1e-6 / sector.L)
         bad = eta
+        eta /= 2.0
     return None
 
 

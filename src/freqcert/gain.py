@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
-from .stability import Polynomial, is_schur
+from .stability import is_schur
 from .transfer import RationalTF
 
 # Unused here; kept bound because perfbench/tracer.py's grid_points counter reads them.
@@ -53,8 +53,7 @@ def hinf_norm(k: RationalTF) -> tuple[float, float]:
     underestimated. Returns (gain, omega) with omega = arccos(x*) in [0, pi];
     the mirrored frequency attains the same value.
     """
-    den = Polynomial(k.den)
-    if den.degree >= 1 and not is_schur(den):
+    if k.den_degree >= 1 and not is_schur(k.den):
         raise UnstableSystemError("gain undefined for unstable system")
 
     p = cos_power_profile(k.num)

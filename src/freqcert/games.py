@@ -17,7 +17,7 @@ import numpy as np
 from .operators import coupling_singular_values
 
 # roots stays bound here: the benchmark tracer counts freqcert.games.roots
-from .stability import Polynomial, roots, spectral_radius_poly  # noqa: F401
+from .stability import roots, spectral_radius_poly, trim  # noqa: F401
 from .transfer import MethodSpec, Recursion, build_transfer
 
 _ALT_BOUNDARY = 2.0 / 3.0
@@ -29,16 +29,13 @@ class BilinearGame:
     """Spectral data of a square non-singular coupling A."""
 
     gamma: float
-    eigs_AAT: tuple[float, ...]
 
     @classmethod
     def from_matrix(cls, matrix) -> "BilinearGame":
-        sv = coupling_singular_values(matrix)
-        # the eigenvalues of AA' are the squared singular values of A
-        return cls(gamma=float(sv[0]), eigs_AAT=tuple(sorted(float(s * s) for s in sv)))
+        return cls(gamma=float(coupling_singular_values(matrix)[0]))
 
 
-def game_factor(method: MethodSpec, mode: str, lam: float) -> Polynomial:
+def game_factor(method: MethodSpec, mode: str, lam: float) -> tuple[float, ...]:
     """Characteristic factor of ``method`` on the game direction of an
     eigenvalue ``lam`` of AA', read off its transfer function K = num/den.
 
@@ -47,6 +44,7 @@ def game_factor(method: MethodSpec, mode: str, lam: float) -> Polynomial:
     update ("sim") gives den^2 + lam num^2. In the alternating update ("alt")
     the second player observes the first player's new iterate, one factor
     of z: den^2 + lam z num^2. That form needs ``Recursion.alternates``.
+    Returns the factor's ascending coefficients, trimmed.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -59,7 +57,7 @@ def game_factor(method: MethodSpec, mode: str, lam: float) -> Polynomial:
     factor = np.convolve(k.den, k.den)
     low = 1 if mode == "alt" else 0  # the factor z
     factor[low : low + coupled.size] += coupled
-    return Polynomial(tuple(factor))
+    return trim(factor)
 
 
 def spectrum_curve(mode: str, points) -> list[tuple[float, float]]:

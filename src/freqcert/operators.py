@@ -121,8 +121,8 @@ class OperatorSpec:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         M = None
         if self.kind == "diagonal-quadratic":
-            if self.spectrum is None or len(self.spectrum) != self.dimension:
-                raise ValueError("spectrum must match the dimension")
+            if not self.spectrum or len(self.spectrum) != self.dimension:
+                raise ValueError("spectrum must be non-empty and match the dimension")
             if any(s <= 0 for s in self.spectrum):
                 raise ValueError("spectrum entries must be positive")
             M = np.diag(np.asarray(self.spectrum, dtype=float))

@@ -35,9 +35,7 @@ class MethodSpec:
     b: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown method family {self.family!r}")
-        required = _FAMILIES[self.family][0]
+        required = _required_fields(self.family)
         for f in fields(self)[1:]:  # every field after family is numeric
             name = f.name
             value = getattr(self, name)
@@ -69,9 +67,7 @@ class MethodSpec:
     @classmethod
     def from_json(cls, data: dict) -> "MethodSpec":
         family = json_object(data, "method", {"family"}, {f.name for f in fields(cls)})["family"]
-        if family not in _FAMILIES:
-            raise ValueError(f"unknown method family {family!r}")
-        required = _FAMILIES[family][0]
+        required = _required_fields(family)
         json_object(data, "method", {"family", *required}, ())
         return cls(family, **{
             key: (json_numbers if key in ("a", "b") else json_number)(data[key], key)
@@ -109,9 +105,7 @@ class RationalTF:
         # every term. The denominator keeps the absolute cut: a relative one
         # could drop its leading coefficient and with it a huge pole.
         num = [float(c) for c in num]
-        cut = COEFF_TRIM_TOL * max(map(abs, num), default=0.0)
-        while len(num) > 1 and abs(num[-1]) <= cut:
-            num.pop()
+        num = trim(num, COEFF_TRIM_TOL * max(map(abs, num), default=0.0))
         den = trim(den)
         if abs(den[-1]) <= COEFF_TRIM_TOL:
             raise ValueError("denominator is identically zero")
@@ -193,6 +187,14 @@ _FAMILIES = {
     "pegd": (("eta",), lambda m: Recursion((1.0,), (m.eta,), f=(m.eta,))),
     "rgd": (("eta",), lambda m: Recursion((1.0,), (m.eta,), e=(2.0, -1.0))),
 }
+
+
+def _required_fields(family) -> tuple[str, ...]:
+    """The fields ``family`` requires; rejects a name, or a non-string, that
+    is no family."""
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise ValueError(f"unknown method family {family!r}")
+    return _FAMILIES[family][0]
 
 
 def _padded(p: list, n: int) -> list:

@@ -12,14 +12,14 @@ SLACK_TOL = 1e-9
 
 
 def _schur_recursion_stable(p) -> bool:
-    """Reference Schur test on coefficients alone: every root of ``p`` lies
-    strictly inside the unit circle.
+    """Reference Schur test on coefficients alone: every root of the
+    ascending coefficients ``p`` lies strictly inside the unit circle.
 
     Classic coefficient-shrinking recursion: make the polynomial monic, then
     strip one degree per round, rejecting whenever the trailing (reflection)
     coefficient reaches 1 in magnitude.
     """
-    c = np.asarray(p.coeffs)[::-1] / p.coeffs[-1]
+    c = np.asarray(p)[::-1] / p[-1]
     while c.size > 1:
         k = c[-1]
         if not np.isfinite(k) or abs(k) >= 1.0:

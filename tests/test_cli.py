@@ -460,3 +460,26 @@ def test_simulate_rejects_non_finite_numbers(tmp_path, capsys, field, payload):
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {field} must be finite\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        pytest.param("certify", {**CERTIFY_BASE, "method": {"family": ["gd"], "eta": 0.1}},
+                     "unknown method family ['gd']", id="family-list"),
+        pytest.param("certify", {**CERTIFY_BASE, "method": {"family": {"gd": 1}, "eta": 0.1}},
+                     "unknown method family {'gd': 1}", id="family-object"),
+        pytest.param("simulate", {**SIMULATE_BASE, "x0": [],
+                                  "operator": {"kind": "diagonal-quadratic", "spectrum": []}},
+                     "spectrum must be non-empty and match the dimension", id="empty-spectrum"),
+    ],
+)
+def test_malformed_values_exit_1(tmp_path, capsys, command, payload, message):
+    cfg = _write(tmp_path, "bad.json", payload)
+    out = tmp_path / "t.csv"
+    argv = [command, "--config", cfg]
+    if command == "simulate":
+        argv += ["--steps", "5", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from freqcert.operators import diagonal_quadratic
+from freqcert.stability import roots
 from freqcert.transfer import (
     MethodSpec,
     RationalTF,
@@ -250,6 +252,38 @@ def test_numerator_cut_leaves_a_huge_denominator_whole():
     assert k.num == (-1e10,)
 
 
+@pytest.mark.parametrize("family", ["gd", "ogd", "pp", "pegd", "rgd", "hgd", "general"])
+def test_transfer_is_the_step_size_times_the_unit_step_transfer(family):
+    # K = eta K1 bit for bit, so max_learning_rate builds K1 once and scales
+    # its numerator at each probe
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        eta = float(np.exp(rng.uniform(np.log(1e-12), np.log(1e12))))
+        n = int(rng.integers(1, 5))
+        fields = {
+            "hgd": dict(a=tuple(rng.uniform(-1.0, 1.0, n))),
+            "general": dict(a=tuple(rng.uniform(-1.0, 1.0, n)),
+                            b=tuple(float(v) for v in rng.dirichlet(np.ones(n)))),
+        }.get(family, {})
+        unit = build_transfer(MethodSpec(family, eta=1.0, **fields))
+        k = build_transfer(MethodSpec(family, eta=eta, **fields))
+        assert k == RationalTF(tuple(eta * c for c in unit.num), unit.den), (eta, fields)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: RationalTF.from_coeffs([1.0], []), id="empty-den"),
+        pytest.param(lambda: RationalTF.from_coeffs([], [1.0, 1.0]), id="empty-num"),
+        pytest.param(lambda: roots(()), id="empty-polynomial"),
+        pytest.param(lambda: diagonal_quadratic([]), id="empty-spectrum"),
+    ],
+)
+def test_empty_inputs_are_rejected(build):
+    with pytest.raises(ValueError, match="empty"):
+        build()
+
+
 def test_from_coeffs_rejects_improper():
     with pytest.raises(ValueError):
         RationalTF.from_coeffs([1.0, 2.0, 3.0], [1.0, 1.0])
@@ -289,6 +323,14 @@ def test_method_spec_rejects_unknown_fields():
         MethodSpec.from_json({"family": "warp", "eta": 0.1})
     with pytest.raises(ValueError):
         MethodSpec("gd", eta=0.1, alpha=0.5)
+
+
+@pytest.mark.parametrize("family", [["gd"], {"gd": 1}])
+def test_a_non_string_family_is_unknown(family):
+    with pytest.raises(ValueError, match="^unknown method family"):
+        MethodSpec(family, eta=0.1)
+    with pytest.raises(ValueError, match="^unknown method family"):
+        MethodSpec.from_json({"family": family, "eta": 0.1})
 
 
 # one valid spec per family
