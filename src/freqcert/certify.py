@@ -8,6 +8,7 @@ supremum gain below 1 / ((L - mu)/2 + L delta). The noiseless threshold is
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -71,17 +72,19 @@ def _shifted_loop(method: MethodSpec, sector: SectorParams) -> tuple[RationalTF,
     return k, complementary_sensitivity(k, _shift(sector))
 
 
-def _certified_at(
-    shifted: RationalTF, rho: float, threshold: float
-) -> tuple[bool, float | None]:
+def _certified_at(shifted: RationalTF, rho: float, threshold: float) -> tuple:
     """The stability and gain checks of one probe: whether the loop scaled by
-    rho is Schur-stable with gain below ``threshold``, and that gain (None
-    when unstable). Properness is the caller's third check."""
+    rho is Schur-stable with gain below ``threshold``, that gain, and why
+    there is none ("" when there is one). A loop whose scaling by rho leaves
+    the float range counts as uncertified, which is conservative. Properness
+    is the caller's third check."""
     try:
         gain, _ = hinf_norm(rho_scale(shifted, rho))
     except UnstableSystemError:
-        return False, None
-    return gain < threshold, gain
+        return False, None, "is unstable"
+    except OverflowError:
+        return False, None, "leaves the float range"
+    return gain < threshold, gain, ""
 
 
 def certify(q: CertificationQuery) -> CertificationResult:
@@ -89,7 +92,7 @@ def certify(q: CertificationQuery) -> CertificationResult:
     k, shifted = _shifted_loop(q.method, q.sector)
     proper_ok = k.strictly_proper or q.allow_non_strictly_proper
     threshold = gain_threshold(q.sector)
-    gain_ok, gain = _certified_at(shifted, q.rho, threshold)
+    gain_ok, gain, failure = _certified_at(shifted, q.rho, threshold)
     stable_ok = gain is not None
     margin = None if gain is None else threshold - gain
 
@@ -97,7 +100,7 @@ def certify(q: CertificationQuery) -> CertificationResult:
     if not proper_ok:
         diagnostics = "transfer function is not strictly proper"
     elif not stable_ok:
-        diagnostics = f"scaled loop is unstable at rho={q.rho:.9g}"
+        diagnostics = f"scaled loop {failure} at rho={q.rho:.9g}"
     elif certified:
         diagnostics = f"gain {gain:.9g} below threshold {threshold:.9g}"
     else:
@@ -168,7 +171,8 @@ def max_learning_rate(
 ) -> float | None:
     """Largest step size, to width 1e-6 / L, whose method still certifies at
     ``RHO_PROBE``. ``method`` acts as a template; its ``eta`` field is swept
-    over (0, 4/mu]. Returns None when no step size certifies.
+    over (0, 4/mu], a cap clamped to the largest float when a subnormal mu
+    overflows it. Returns None when no step size certifies.
 
     The step size scales every numerator coefficient of K and no denominator
     coefficient: K = eta K1. So K1 is built once and decides properness,
@@ -185,7 +189,7 @@ def max_learning_rate(
         k = RationalTF(tuple(eta * c for c in unit.num), unit.den)
         return _certified_at(complementary_sensitivity(k, h), RHO_PROBE, threshold)[0]
 
-    bad = eta = 4.0 / sector.mu
+    bad = eta = min(4.0 / sector.mu, sys.float_info.max)
     for _ in range(81):  # the cap, then 80 halvings
         if certifiable(eta):
             return _bisect(certifiable, eta, bad, 1e-6 / sector.L)

@@ -223,15 +223,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ValueError,
-        TypeError,
-        KeyError,
-        OSError,
-        RuntimeError,
-        ZeroDivisionError,
-        json.JSONDecodeError,
-    ) as exc:
+    # ArithmeticError: a pole hit or a loop beyond the float range
+    except (ValueError, TypeError, KeyError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

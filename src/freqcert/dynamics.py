@@ -88,58 +88,54 @@ class Trajectory:
     half_points: list | None = None
 
 
-def _implicit_solve(rhs, coeff, span, observe_fixed):
-    """Solve x = rhs - coeff * F_obs(x) by damped fixed-point iteration;
-    returns x and the observation F_obs(x) that satisfies it."""
-    tau = 2.0 / (2.0 + abs(coeff) * span)
-    x = np.array(rhs, dtype=float)
-    tol = IMPLICIT_TOL * (1.0 + float(np.linalg.norm(rhs)))
-    for _ in range(IMPLICIT_MAX_ITER):
-        obs = observe_fixed(x)
-        res = x - rhs + coeff * obs
-        if float(np.linalg.norm(res)) <= tol:
-            return x, obs
-        x = x - tau * res
-    raise RuntimeError("implicit step did not reach the residual tolerance")
-
-
 def _implicit_stepper(op, adv, counter, coeff, keep_obs):
-    """Per-run solver of x = rhs - coeff * F_obs(x), one observation index per
-    step. Returns (x, F_obs(x)), the observation None unless ``keep_obs``.
+    """Per-run solver of x = rhs - coeff * F_obs(x). Each step takes one
+    observation index and, under random noise, one seeded unit direction u;
+    every observation of the step goes through its ``observe``. Returns
+    (x, F_obs(x)), the closed form's observation None unless ``keep_obs``.
 
     On a linear operator F(x) = M v, v = x - fp, the step is closed form with
     R = I + coeff N M inverted once per run. Every strategy but random
     observes N M v for a fixed N, so v = R^-1 r with r = rhs - fp. Random
-    noise observes M v + delta t u with t = ||M v|| and u the step's seeded
-    unit direction, so (N = I) v = R^-1 (r - coeff delta t u), and t is the
-    nonnegative root of (1 - b.b) t^2 + 2 (a.b) t - a.a = 0 with a = M R^-1 r
-    and b = coeff delta M R^-1 u. For monotone M, coeff M R^-1 is
-    nonexpansive, so ||b|| <= delta and the root is unique when delta < 1.
-    scalar-noncvx, nonlinear in x, takes the damped iteration.
+    noise observes M v + delta t u with t = ||M v||, so (N = I)
+    v = R^-1 (r - coeff delta t u), and t is the nonnegative root of
+    (1 - b.b) t^2 + 2 (a.b) t - a.a = 0 with a = M R^-1 r and
+    b = coeff delta M R^-1 u. For monotone M, coeff M R^-1 is nonexpansive,
+    so ||b|| <= delta and the root is unique when delta < 1.
+    scalar-noncvx, nonlinear in x, takes a damped fixed-point iteration.
     """
-    if op.linear_map is None:
-        sec = derived_sector(op)
-
-        def solve_damped(rhs):
-            idx = next(counter)
-            return _implicit_solve(
-                rhs, coeff, sec.mu + sec.L, lambda x: apply_noise(adv, eval_operator(op, x), idx)
-            )
-
-        return solve_damped
-    M = op.linear_map
-    fp = np.asarray(op.fixed_point)
     random = adv.strategy == "random" and adv.delta > 0.0
-    noisy_map = M if random else apply_noise(adv, M, 0)
-    inv = np.linalg.inv(np.eye(op.dimension) + coeff * noisy_map)
-    gain = M @ inv  # M R^-1
-    push = coeff * adv.delta
+    M = op.linear_map
+    if M is None:
+        sec = derived_sector(op)
+        tau = 2.0 / (2.0 + abs(coeff) * (sec.mu + sec.L))
+    else:
+        fp = np.asarray(op.fixed_point)
+        noisy_map = M if random else apply_noise(adv, M, 0)
+        inv = np.linalg.inv(np.eye(op.dimension) + coeff * noisy_map)
+        gain = M @ inv  # M R^-1
+        push = coeff * adv.delta
 
     def solve(rhs):
         idx = next(counter)
+        u = _random_direction(adv, idx, op.dimension) if random else None
+
+        def observe(x):
+            value = eval_operator(op, x)
+            return _random_noise(adv, value, u) if random else apply_noise(adv, value, idx)
+
+        if M is None:
+            x = np.array(rhs, dtype=float)
+            tol = IMPLICIT_TOL * (1.0 + float(np.linalg.norm(rhs)))
+            for _ in range(IMPLICIT_MAX_ITER):
+                obs = observe(x)
+                res = x - rhs + coeff * obs
+                if float(np.linalg.norm(res)) <= tol:
+                    return x, obs
+                x = x - tau * res
+            raise RuntimeError("implicit step did not reach the residual tolerance")
         r = rhs - fp
         if random:
-            u = _random_direction(adv, idx, op.dimension)
             a, b = gain @ r, push * (gain @ u)
             aa, ab, bb = a.dot(a), a.dot(b), b.dot(b)
             if bb >= 1.0:
@@ -152,27 +148,18 @@ def _implicit_stepper(op, adv, counter, coeff, keep_obs):
             t = aa / (ab + disc) if ab > 0.0 else (disc - ab) / (1.0 - bb)
             r = r - push * t * u
         x = fp + inv @ r
-        if not keep_obs:
-            return x, None
-        value = eval_operator(op, x)
-        # random noise observes along the direction the step was solved for
-        return x, _random_noise(adv, value, u) if random else apply_noise(adv, value, idx)
+        return x, observe(x) if keep_obs else None
 
     return solve
 
 
 def _combine(terms):
-    """sum w * v over (w, vectors, i) with v = vectors[i]; unit weights add or
-    subtract without a multiply, which is exact."""
+    """sum w * v over (w, vectors, i) with v = vectors[i]; a unit weight adds
+    v without a multiply."""
     acc = None
     for w, vecs, i in terms:
-        v = vecs[i]
-        if w == 1.0:
-            acc = v if acc is None else acc + v
-        elif w == -1.0:
-            acc = -v if acc is None else acc - v
-        else:
-            acc = w * v if acc is None else acc + w * v
+        v = vecs[i] if w == 1.0 else w * vecs[i]
+        acc = v if acc is None else acc + v
     return acc
 
 
@@ -288,10 +275,7 @@ def run(
             s[:half] = S[0][:half]
             S[0] = s
             x = _combine(x_terms)
-        if solve is not None:
-            x, pending = solve(x)
-        else:
-            pending = None
+        x, pending = (x, None) if solve is None else solve(x)
         traj.points.append(np.array(x))
         if not np.isfinite(x).all():
             traj.distances.append(float("inf"))

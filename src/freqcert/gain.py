@@ -9,6 +9,8 @@ magnitude over all frequencies.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
@@ -56,13 +58,17 @@ def hinf_norm(k: RationalTF) -> tuple[float, float]:
     if k.den_degree >= 1 and not is_schur(k.den):
         raise UnstableSystemError("gain undefined for unstable system")
 
-    p = cos_power_profile(k.num)
+    # P squares num and overflows past about 1e154: scale num by 2^-e, which is
+    # exact, and chebroots divides by the leading coefficient, so no root moves
+    e = math.frexp(max(map(abs, k.num)))[1]
+    num = [math.ldexp(c, -e) for c in k.num]
+    p = cos_power_profile(num)
     q = cos_power_profile(k.den)
     slope = C.chebsub(C.chebmul(C.chebder(p), q), C.chebmul(p, C.chebder(q)))
     xs = np.concatenate(([-1.0, 1.0], np.clip(C.chebroots(slope).real, -1.0, 1.0)))
     omegas = np.arccos(xs)
     z = np.exp(1j * omegas)
     horner = np.polynomial.polynomial.polyval
-    vals = np.abs(horner(z, k.num) / horner(z, k.den))
+    vals = np.abs(horner(z, num) / horner(z, k.den))
     i = int(np.argmax(vals))
-    return float(vals[i]), float(omegas[i])
+    return math.ldexp(float(vals[i]), e), float(omegas[i])

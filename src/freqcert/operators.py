@@ -57,6 +57,17 @@ def json_numbers(value, name: str) -> tuple:
     )
 
 
+def _floats(values, name: str, rows: bool = False) -> tuple:
+    """``values`` as a tuple of floats, or of such tuples when ``rows``; any
+    other nesting is reported by ``name``."""
+    try:
+        if rows:
+            return tuple(tuple(float(v) for v in row) for row in values)
+        return tuple(float(v) for v in values)
+    except TypeError:
+        raise ValueError(f"{name} must be a list of {'lists of ' * rows}numbers") from None
+
+
 def coupling_singular_values(matrix) -> np.ndarray:
     """Singular values of a bilinear coupling matrix, largest first; rejects a
     matrix that is not square or not non-singular."""
@@ -178,14 +189,11 @@ class OperatorSpec:
 
 
 def diagonal_quadratic(spectrum, fixed_point=None) -> OperatorSpec:
-    spectrum = tuple(float(s) for s in spectrum)
+    spectrum = _floats(spectrum, "spectrum")
     if fixed_point is None:
         fixed_point = (0.0,) * len(spectrum)
-    return OperatorSpec(
-        kind="diagonal-quadratic",
-        fixed_point=tuple(float(v) for v in fixed_point),
-        spectrum=spectrum,
-    )
+    fixed_point = _floats(fixed_point, "fixed_point")
+    return OperatorSpec(kind="diagonal-quadratic", fixed_point=fixed_point, spectrum=spectrum)
 
 
 def scalar_noncvx() -> OperatorSpec:
@@ -193,7 +201,7 @@ def scalar_noncvx() -> OperatorSpec:
 
 
 def bilinear_operator(matrix) -> OperatorSpec:
-    matrix = tuple(tuple(float(v) for v in row) for row in matrix)
+    matrix = _floats(matrix, "matrix", rows=True)
     return OperatorSpec(kind="bilinear", fixed_point=(0.0,) * (2 * len(matrix)), matrix=matrix)
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .operators import json_number, json_numbers, json_object
+from .operators import _floats, json_number, json_numbers, json_object
 from .stability import COEFF_TRIM_TOL, trim
 
 EQUAL_TOL = 1e-12
@@ -46,7 +46,7 @@ class MethodSpec:
             if name not in required:
                 raise ValueError(f"{self.family} does not accept field {name!r}")
             if name in ("a", "b"):
-                value = tuple(float(v) for v in value)
+                value = _floats(value, name)
                 object.__setattr__(self, name, value)
             values = value if isinstance(value, tuple) else (value,)
             if not all(math.isfinite(v) for v in values):
@@ -235,7 +235,7 @@ def complementary_sensitivity(k: RationalTF, h: float) -> RationalTF:
     lower degree cannot change den's leading coefficient. When num reaches
     den's degree, raises ValueError if the leading coefficients cancel
     relative to their own scale, i.e. when 1 - h K(inf) = 0 and the loop is
-    not well posed.
+    not well posed; an overflowed h num is no cancellation.
     """
     if h == 0.0:
         return k
@@ -245,7 +245,7 @@ def complementary_sensitivity(k: RationalTF, h: float) -> RationalTF:
     lead = shifted[-1]
     if len(k.num) == len(k.den):
         scale = max(abs(k.den[-1]), abs(h) * abs(k.num[-1]))
-        if abs(lead) <= COEFF_TRIM_TOL * scale:
+        if abs(lead) <= COEFF_TRIM_TOL * scale and math.isfinite(lead):
             raise ValueError("shifted loop is not well posed: its leading coefficient cancels")
     return RationalTF(
         num=tuple(c / lead for c in k.num), den=tuple(c / lead for c in shifted)
@@ -257,15 +257,19 @@ def rho_scale(k: RationalTF, rho: float) -> RationalTF:
     c_i becomes c_i rho^(i - n), n = deg den.
 
     Roots map one-to-one (r -> r / rho), so the result keeps its degrees and
-    every mode; nothing is trimmed, however small rho is.
+    every mode; nothing is trimmed, however small rho is. Raises
+    OverflowError when a coefficient leaves the float range.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]")
     n = len(k.den) - 1
-    return RationalTF(
-        num=tuple(c * rho ** (i - n) for i, c in enumerate(k.num)),
-        den=tuple(c * rho ** (i - n) for i, c in enumerate(k.den)),
-    )
+    try:
+        num, den = (tuple(c * rho ** (i - n) for i, c in enumerate(p)) for p in (k.num, k.den))
+    except OverflowError:  # rho ** -n itself overflows
+        num = den = (math.inf,)
+    if not all(map(math.isfinite, num + den)):
+        raise OverflowError(f"the loop scaled by rho={rho:.9g} leaves the float range")
+    return RationalTF(num=num, den=den)
 
 
 def tf_equal(a: RationalTF, b: RationalTF) -> bool:

@@ -597,3 +597,59 @@ def test_searches_survive_extreme_scales():
                 step = replace(method, eta=eta)
                 assert RHO_PROBE >= _shifted_pole_radius(step, sector), (step, sector)
     assert len(specs) == 270 and certified > 20
+
+
+def test_searches_are_scale_free(family_corpus):
+    # the sector scaled by c = 2^k and every step field by 1/c leave every
+    # probe's decision unchanged, and power-of-two scaling is exact
+    rng = np.random.default_rng(11)
+    steps = ("eta", "alpha", "beta", "kp", "ki", "kd")
+    for method, allow in family_corpus(5):
+        base = SectorParams(0.5, 4.0, 0.01)
+        rate = best_rate(method, base, allow)
+        eta = max_learning_rate(method, base, allow) if method.eta is not None else None
+        for k in (-1000, 1000, int(rng.integers(-1000, 1001))):
+            c = 2.0 ** k
+            scaled = replace(method, **{
+                f: getattr(method, f) / c for f in steps if getattr(method, f) is not None
+            })
+            sector = SectorParams(0.5 * c, 4.0 * c, 0.01)
+            assert best_rate(scaled, sector, allow) == rate, (method, k)
+            if eta is not None:
+                assert max_learning_rate(scaled, sector, allow) * c == eta, (method, k)
+
+
+def test_a_probe_beyond_the_float_range_is_uncertified():
+    # rho^-n leaves the float range once n log10(1/rho) > 308; at the RHO_TOL
+    # probe that is from horizon 52 on, where best_rate used to raise
+    gd = best_rate(MethodSpec("gd", eta=0.2), SECTOR)
+    assert gd == 0.9000007258758546
+    for n in (2, 51, 52, 120):
+        assert best_rate(MethodSpec("hgd", eta=0.2, a=(1.0,) + (0.0,) * (n - 1)), SECTOR) == gd
+    hgd3 = MethodSpec("hgd", eta=0.2, a=(1.0, 0.0, 0.0))
+    result = certify(CertificationQuery(hgd3, SECTOR, 1e-110))
+    assert not result.certified and not result.stable_ok and result.gain is None
+    assert result.diagnostics == "scaled loop leaves the float range at rho=1e-110"
+    with pytest.raises(OverflowError, match="leaves the float range"):
+        frequency_response(hgd3, SECTOR, rho=1e-110)
+
+
+def test_max_learning_rate_on_sectors_near_the_float_limits():
+    # the cap 4/mu overflows on a subnormal mu; on ogd at mu = 3e-308 the cap
+    # is finite but its probe overflows. Nothing certifies at RHO_PROBE with
+    # L/mu that large, and probes beyond the float range count as uncertified
+    assert max_learning_rate(MethodSpec("gd", eta=1.0), SectorParams(1e-310, 1.0)) is None
+    assert max_learning_rate(MethodSpec("ogd", eta=1.0), SectorParams(3e-308, 1.0)) is None
+    # h eta K1 overflows in the improper pp loop; that is no cancellation
+    pp = MethodSpec("pp", eta=1.0)
+    assert max_learning_rate(pp, SectorParams(3e-308, 10.0), allow_improper=True) is None
+
+
+def test_a_linear_algebra_failure_still_propagates(monkeypatch):
+    # only instability and overflow make a probe uncertified
+    def failing(k):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(certify_mod, "hinf_norm", failing)
+    with pytest.raises(np.linalg.LinAlgError):
+        certify(CertificationQuery(MethodSpec("gd", eta=0.2), SECTOR, 0.95))

@@ -241,6 +241,21 @@ def test_nyquist_reports_a_pole_on_the_unit_circle(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_a_loop_beyond_the_float_range(tmp_path, capsys):
+    # rho^-3 = 1e330 overflows: certify answers uncertified and says why,
+    # nyquist has no samples to print
+    cfg = _write(tmp_path, "tiny.json", {"method": {"family": "hgd", "eta": 0.2, "a": [1, 0, 0]},
+                                         "sector": {"mu": 0.5, "L": 4}, "rho": 1e-110})
+    assert main(["certify", "--config", cfg]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["diagnostics"] == "scaled loop leaves the float range at rho=1e-110"
+    out = tmp_path / "tiny.csv"
+    assert main(["nyquist", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the loop scaled by rho=1e-110 leaves the float range\n"
+    assert not out.exists()
+
+
 def test_spectrum_brackets_the_alt_boundary(tmp_path):
     out = tmp_path / "spec.csv"
     assert (
@@ -472,6 +487,25 @@ def test_simulate_rejects_non_finite_numbers(tmp_path, capsys, field, payload):
         pytest.param("simulate", {**SIMULATE_BASE, "x0": [],
                                   "operator": {"kind": "diagonal-quadratic", "spectrum": []}},
                      "spectrum must be non-empty and match the dimension", id="empty-spectrum"),
+        # a vector field holds numbers and a matrix lists of numbers, nothing deeper
+        pytest.param("certify", {**CERTIFY_BASE, "method": {
+            "family": "general", "eta": 0.1, "a": [1, 0], "b": [[1, 2], [3]]}},
+            "b must be a list of numbers", id="nested-b"),
+        pytest.param("certify", {**CERTIFY_BASE, "method": {
+            "family": "hgd", "eta": 0.1, "a": [[1.0]]}},
+            "a must be a list of numbers", id="nested-a"),
+        pytest.param("simulate", {**SIMULATE_BASE, "operator": {
+            "kind": "diagonal-quadratic", "spectrum": [[1.0], [2.0]]}},
+            "spectrum must be a list of numbers", id="nested-spectrum"),
+        pytest.param("simulate", {**SIMULATE_BASE, "operator": {
+            "kind": "diagonal-quadratic", "spectrum": [1.0, 2.0], "fixed_point": [[0], [0]]}},
+            "fixed_point must be a list of numbers", id="nested-fixed-point"),
+        pytest.param("simulate", {**SIMULATE_BASE, "operator": {
+            "kind": "bilinear", "matrix": [-1]}},
+            "matrix must be a list of lists of numbers", id="flat-matrix"),
+        pytest.param("simulate", {**SIMULATE_BASE, "operator": {
+            "kind": "bilinear", "matrix": [[[1.0]]]}},
+            "matrix must be a list of lists of numbers", id="deep-matrix"),
     ],
 )
 def test_malformed_values_exit_1(tmp_path, capsys, command, payload, message):

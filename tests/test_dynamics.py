@@ -453,8 +453,9 @@ def test_simulator_and_certifier_see_the_same_system():
 
 
 def test_random_noise_draws_each_direction_once(monkeypatch):
-    # pid observes once at x0 and once per implicit step; the step's solve
-    # and its kept observation share one seeded draw
+    # pid observes once at x0 and once per implicit step, pp once per step;
+    # every observation of a step, closed form or damped iteration, shares
+    # one seeded draw
     dynamics = importlib.import_module("freqcert.dynamics")
     draws = []
     draw = dynamics._random_direction
@@ -465,8 +466,28 @@ def test_random_noise_draws_each_direction_once(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_random_direction", counted)
     steps = 40
-    op = diagonal_quadratic(np.linspace(0.5, 4.0, 6))
-    t = run(MethodSpec("pid", kp=0.09, ki=0.13, kd=0.025), op, np.ones(6), steps,
-            NoiseAdversary("random", 0.04, seed=5))
-    assert not t.diverged and len(t.distances) == steps + 1
-    assert draws == list(range(steps + 1))
+    pid = MethodSpec("pid", kp=0.09, ki=0.13, kd=0.025)
+    pp = MethodSpec("pp", eta=0.7)
+    for m, op, x0, at_x0 in (
+        (pid, diagonal_quadratic(np.linspace(0.5, 4.0, 6)), np.ones(6), 1),
+        (pid, scalar_noncvx(), [2.0], 1),
+        (pp, scalar_noncvx(), [2.0], 0),
+    ):
+        draws.clear()
+        t = run(m, op, x0, steps, NoiseAdversary("random", 0.04, seed=5))
+        assert not t.diverged and len(t.distances) == steps + 1
+        assert draws == list(range(at_x0 + steps)), (m.family, op.kind)
+
+
+def test_damped_implicit_step_solves_the_observed_equation():
+    # scalar-noncvx takes the damped iteration; each pp step must satisfy
+    # x_(k+1) = x_k - eta F_obs(x_(k+1)) with the observation at index k
+    op = scalar_noncvx()
+    eta = 0.7
+    for strategy in ("none", "scale_up", "scale_down", "rotate", "random"):
+        adv = NoiseAdversary(strategy, 0.3, seed=9)
+        t = run(MethodSpec("pp", eta=eta), op, [2.0], 40, adversary=adv)
+        for k in range(len(t.points) - 1):
+            x, rhs = t.points[k + 1], t.points[k]
+            res = x - rhs + eta * apply_noise(adv, eval_operator(op, x), k)
+            assert np.linalg.norm(res) <= 1e-12 * (1.0 + np.linalg.norm(rhs)), (strategy, k)
