@@ -23,7 +23,7 @@ from .certify import (
 )
 from .dynamics import STRATEGIES, NoiseAdversary, run
 from .games import spectrum_curve
-from .operators import OperatorSpec, SectorParams, json_number, json_numbers, json_object
+from .operators import OperatorSpec, SectorParams, _floats, json_number, json_object
 from .transfer import MethodSpec, build_transfer, tf_equal
 
 EXIT_OK = 0
@@ -134,11 +134,11 @@ def cmd_simulate(args) -> int:
     traj = run(
         method,
         op,
-        np.asarray(json_numbers(cfg["x0"], "x0"), dtype=float),
+        np.asarray(_floats(cfg["x0"], "x0")),
         steps=args.steps,
         adversary=adversary,
         mode=cfg.get("mode", "simultaneous"),
-        history=None if history is None else json_numbers(history, "history"),
+        history=None if history is None else _floats(history, "history", rows=True),
     )
     header = "k,distance"
     if args.per_coordinate:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,9 @@ class NoiseAdversary:
             raise ValueError(f"unknown noise strategy {self.strategy!r}")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
+        seed = self.seed  # numpy's generator takes only nonnegative integers
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, not {seed!r}")
 
 
 def apply_noise(adv: NoiseAdversary, value, k: int) -> np.ndarray:
@@ -240,6 +244,8 @@ def run(
         n_hist = max(n_x - 1, n_s)
         if len(history) != n_hist:
             raise ValueError(f"history must supply exactly {n_hist} earlier points")
+        if any(h.shape != x0.shape for h in history):
+            raise ValueError(f"history points must have the shape of x0, {x0.shape}")
         X[1:] = history[: n_x - 1]
         for i in range(n_s - 1, -1, -1):  # oldest first
             S[i] = observe(history[i])

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -34,9 +36,9 @@ def json_object(data, what: str, required, optional) -> dict:
 
 
 def json_number(value, name: str) -> float:
-    """A config value that must be a finite JSON number; strings and booleans
-    are rejected rather than coerced by ``float``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """``value``, a finite real number, as a float. Booleans and strings are
+    rejected rather than coerced by ``float``; numpy scalars pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a JSON number, not {value!r}")
     try:
         value = float(value)
@@ -47,25 +49,24 @@ def json_number(value, name: str) -> float:
     return value
 
 
-def json_numbers(value, name: str) -> tuple:
-    """A config value that must be a JSON list of numbers, or of such lists
-    for a matrix, as (nested) tuples of floats."""
-    if not isinstance(value, list):
-        raise ValueError(f"{name} must be a JSON list, not {value!r}")
-    return tuple(
-        json_numbers(v, name) if isinstance(v, list) else json_number(v, name) for v in value
-    )
+def _is_list(value) -> bool:
+    return isinstance(value, Iterable) and not isinstance(value, str)
 
 
 def _floats(values, name: str, rows: bool = False) -> tuple:
-    """``values`` as a tuple of floats, or of such tuples when ``rows``; any
-    other nesting is reported by ``name``."""
-    try:
-        if rows:
-            return tuple(tuple(float(v) for v in row) for row in values)
-        return tuple(float(v) for v in values)
-    except TypeError:
-        raise ValueError(f"{name} must be a list of {'lists of ' * rows}numbers") from None
+    """``values``, a list of :func:`json_number` values, as a tuple of floats;
+    with ``rows``, a list of equal-length such lists as a tuple of tuples.
+    Any other nesting is reported by ``name``."""
+    if not _is_list(values):
+        raise ValueError(f"{name} must be a JSON list, not {values!r}")
+    # None marks a number in place of a row
+    lists = [tuple(v) if _is_list(v) else None for v in values] if rows else [tuple(values)]
+    if None in lists or any(_is_list(x) for v in lists for x in v):
+        raise ValueError(f"{name} must be a list of {'lists of ' * rows}numbers")
+    out = tuple(tuple(json_number(x, name) for x in v) for v in lists)
+    if rows and len(set(map(len, out))) > 1:
+        raise ValueError(f"{name} rows must have equal lengths")
+    return out if rows else out[0]
 
 
 def coupling_singular_values(matrix) -> np.ndarray:
@@ -90,8 +91,8 @@ class SectorParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.mu, self.L, self.delta)):
-            raise ValueError("sector parameters must be finite")
+        for name in ("mu", "L", "delta"):
+            object.__setattr__(self, name, json_number(getattr(self, name), name))
         if not 0.0 < self.mu < self.L:
             raise ValueError("sector requires 0 < mu < L")
         if self.delta < 0.0:
@@ -99,8 +100,7 @@ class SectorParams:
 
     @classmethod
     def from_json(cls, data: dict) -> "SectorParams":
-        data = json_object(data, "sector", {"mu", "L"}, {"delta"})
-        return cls(**{key: json_number(value, key) for key, value in data.items()})
+        return cls(**json_object(data, "sector", {"mu", "L"}, {"delta"}))
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -174,18 +174,14 @@ class OperatorSpec:
             raise ValueError(f"unknown operator kind {kind!r}")
         required, optional = JSON_FIELDS[kind]
         json_object(data, "operator", required | {"kind"}, optional)
-        # every JSON field is the keyword argument of that name of the kind's constructor
-        args = {
-            key: (json_number if key == "mu" else json_numbers)(value, key)
-            for key, value in data.items() if key != "kind"
-        }
         build = {
             "diagonal-quadratic": diagonal_quadratic,
             "scalar-noncvx": scalar_noncvx,
             "bilinear": bilinear_operator,
             "minmax-quadratic": build_minmax_operator,
         }
-        return build[kind](**args)
+        # every other field is the keyword of that name of the kind's constructor, which reads it
+        return build[kind](**{key: value for key, value in data.items() if key != "kind"})
 
 
 def diagonal_quadratic(spectrum, fixed_point=None) -> OperatorSpec:
@@ -213,7 +209,8 @@ def build_minmax_operator(p, q, c, mu: float) -> OperatorSpec:
     rejected with a diagnostic. The sector constant L follows from the
     Jacobian, see :func:`derived_sector`.
     """
-    P, Q, C = (np.atleast_2d(np.asarray(b, dtype=float)) for b in (p, q, c))
+    P, Q, C = (np.array(_floats(b, name, rows=True)) for b, name in zip((p, q, c), "pqc"))
+    mu = json_number(mu, "mu")
     n, m = P.shape[0], Q.shape[0]
     if P.shape != (n, n) or Q.shape != (m, m) or C.shape != (n, m):
         raise ValueError("block shapes are inconsistent")

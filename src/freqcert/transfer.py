@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .operators import _floats, json_number, json_numbers, json_object
+from .operators import _floats, json_number, json_object
 from .stability import COEFF_TRIM_TOL, trim
 
 EQUAL_TOL = 1e-12
@@ -45,12 +45,8 @@ class MethodSpec:
                 continue
             if name not in required:
                 raise ValueError(f"{self.family} does not accept field {name!r}")
-            if name in ("a", "b"):
-                value = _floats(value, name)
-                object.__setattr__(self, name, value)
-            values = value if isinstance(value, tuple) else (value,)
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{name} must be finite")
+            value = (_floats if name in ("a", "b") else json_number)(value, name)
+            object.__setattr__(self, name, value)
             # the one value rule of each field, the same in every family
             if name in ("eta", "alpha", "ki") and not value > 0:
                 raise ValueError(f"{name} must be positive")
@@ -67,12 +63,7 @@ class MethodSpec:
     @classmethod
     def from_json(cls, data: dict) -> "MethodSpec":
         family = json_object(data, "method", {"family"}, {f.name for f in fields(cls)})["family"]
-        required = _required_fields(family)
-        json_object(data, "method", {"family", *required}, ())
-        return cls(family, **{
-            key: (json_numbers if key in ("a", "b") else json_number)(data[key], key)
-            for key in required
-        })
+        return cls(**json_object(data, "method", {"family", *_required_fields(family)}, ()))
 
     def to_json(self) -> dict:
         out = {"family": self.family}

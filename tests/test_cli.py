@@ -5,6 +5,13 @@ import pytest
 
 from freqcert.cli import main
 from freqcert.certify import CertificationResult
+from freqcert.operators import (
+    SectorParams,
+    bilinear_operator,
+    build_minmax_operator,
+    diagonal_quadratic,
+)
+from freqcert.transfer import MethodSpec
 
 
 def _write(tmp_path, name, payload):
@@ -516,4 +523,94 @@ def test_malformed_values_exit_1(tmp_path, capsys, command, payload, message):
         argv += ["--steps", "5", "--out", str(out)]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def _method(**method):
+    return {**CERTIFY_BASE, "method": method}
+
+
+def _operator(**operator):
+    return {**SIMULATE_BASE, "operator": operator}
+
+
+@pytest.mark.parametrize(
+    "build, command, payload, field",
+    [
+        pytest.param(lambda: SectorParams(True, 4), "certify",
+                     {**CERTIFY_BASE, "sector": {"mu": True, "L": 4}}, "mu", id="bool-mu"),
+        pytest.param(lambda: MethodSpec("gd", eta=True), "certify",
+                     _method(family="gd", eta=True), "eta", id="bool-eta"),
+        pytest.param(lambda: MethodSpec("gd", eta="0.1"), "certify",
+                     _method(family="gd", eta="0.1"), "eta", id="string-eta"),
+        pytest.param(lambda: MethodSpec("hgd", eta=0.1, a=["1"]), "certify",
+                     _method(family="hgd", eta=0.1, a=["1"]), "a", id="string-in-a"),
+        pytest.param(lambda: diagonal_quadratic(["1", "2"]), "simulate",
+                     _operator(kind="diagonal-quadratic", spectrum=["1", "2"]), "spectrum",
+                     id="string-spectrum"),
+        pytest.param(lambda: bilinear_operator([[1.0, 2.0], [3.0]]), "simulate",
+                     _operator(kind="bilinear", matrix=[[1.0, 2.0], [3.0]]), "matrix",
+                     id="ragged-matrix"),
+        pytest.param(lambda: build_minmax_operator([[2.0, 0.0], [0.0]], [[2.0]],
+                                                   [[1.0], [1.0]], 1.0), "simulate",
+                     _operator(kind="minmax-quadratic", p=[[2.0, 0.0], [0.0]], q=[[2.0]],
+                               c=[[1.0], [1.0]], mu=1.0), "p", id="ragged-p"),
+        pytest.param(lambda: build_minmax_operator([2.0], [[2.0]], [[1.0]], 1.0), "simulate",
+                     _operator(kind="minmax-quadratic", p=[2.0], q=[[2.0]], c=[[1.0]], mu=1.0),
+                     "p", id="flat-p"),
+        pytest.param(lambda: build_minmax_operator([[2.0]], [[2.0]], [[1.0]], "1"), "simulate",
+                     _operator(kind="minmax-quadratic", p=[[2.0]], q=[[2.0]], c=[[1.0]], mu="1"),
+                     "mu", id="string-mu"),
+        pytest.param(lambda: diagonal_quadratic(2.0), "simulate",
+                     _operator(kind="diagonal-quadratic", spectrum=2.0), "spectrum",
+                     id="number-spectrum"),
+    ],
+)
+def test_python_and_json_inputs_get_one_message(tmp_path, capsys, build, command, payload, field):
+    # the spec reads its own fields, so both doors print the same words
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value).startswith(f"{field} ")
+    cfg = _write(tmp_path, "bad.json", payload)
+    out = tmp_path / "t.csv"
+    argv = [command, "--config", cfg]
+    if command == "simulate":
+        argv += ["--steps", "5", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "history, message",
+    [
+        pytest.param([0.3], "history must be a list of lists of numbers", id="scalar-point"),
+        pytest.param([[0.3]], "history points must have the shape of x0, (2,)", id="short"),
+        pytest.param([[0.3, 0.3, 0.3]], "history points must have the shape of x0, (2,)",
+                     id="long"),
+        pytest.param([[0.3, 0.3], [0.3]], "history rows must have equal lengths", id="ragged"),
+    ],
+)
+def test_simulate_rejects_a_misshapen_history(tmp_path, capsys, history, message):
+    # rgd evaluates at 2 x_k - x_(k-1), so its one history point is observed
+    # only after a step; a short point was broadcast into (0.3, 0.3) before
+    payload = {**SIMULATE_BASE, "method": {"family": "rgd", "eta": 0.1}, "history": history,
+               "operator": {"kind": "diagonal-quadratic", "spectrum": [1.0, 2.0]}}
+    cfg = _write(tmp_path, "hist.json", payload)
+    out = tmp_path / "t.csv"
+    assert main(["simulate", "--config", cfg, "--steps", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("strategy", ["random", "rotate"])
+def test_simulate_rejects_a_negative_seed(tmp_path, capsys, strategy):
+    cfg = _write(tmp_path, "seed.json", {
+        **SIMULATE_BASE, "noise_delta": 0.1,
+        "operator": {"kind": "diagonal-quadratic", "spectrum": [1.0, 2.0]}})
+    out = tmp_path / "t.csv"
+    argv = ["simulate", "--config", cfg, "--steps", "5", "--seed", "-1",
+            "--noise-strategy", strategy, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: seed must be a nonnegative integer, not -1\n"
     assert not out.exists()

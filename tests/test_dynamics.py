@@ -388,6 +388,29 @@ def test_explicit_history_is_honored():
         run(MethodSpec("ogd", eta=0.1), op, x0, 5, history=[xm1, xm1])
 
 
+def test_history_points_must_have_the_shape_of_x0():
+    # a scalar or short stale point was broadcast into (0.3, 0.3) before
+    op = diagonal_quadratic([1.0, 2.0])
+    rgd = MethodSpec("rgd", eta=0.1)
+    run(rgd, op, [1.0, -1.0], 3, history=[[0.3, 0.3]])
+    for point in (0.3, [0.3], [0.3, 0.3, 0.3]):
+        with pytest.raises(ValueError, match=r"^history points must have the shape of x0, \(2,\)"):
+            run(rgd, op, [1.0, -1.0], 3, history=[point])
+
+
+@pytest.mark.parametrize("strategy", ["none", "scale_up", "scale_down", "rotate", "random"])
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "3", None])
+def test_noise_seed_must_be_a_nonnegative_integer(strategy, seed):
+    with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, not {seed!r}$"):
+        NoiseAdversary(strategy, 0.1, seed=seed)
+
+
+def test_numpy_integer_seeds_draw_like_python_ones():
+    v = np.array([1.0, 2.0, -3.0])
+    a = apply_noise(NoiseAdversary("random", 0.2, seed=np.int64(5)), v, 7)
+    assert_allclose(a, apply_noise(NoiseAdversary("random", 0.2, seed=5), v, 7), rtol=0)
+
+
 def test_general_historical_simulation():
     op = diagonal_quadratic([1.0, 2.0])
     m = MethodSpec("general", eta=0.1, a=(1.0, 0.5, -0.5), b=(0.5, 0.25, 0.25))

@@ -168,6 +168,25 @@ def test_sector_params_validation():
         SectorParams(1.0, 2.0, delta=-0.1)
 
 
+def test_sector_params_json_round_trip():
+    for sector in (SectorParams(0.5, 4.0), SectorParams(1e-3, 7.25, 0.04)):
+        assert SectorParams.from_json(sector.to_json()) == sector
+
+
+def test_numpy_scalars_and_arrays_are_read_as_floats():
+    sector = SectorParams(np.float32(0.5), np.int64(4), np.float64(0.25))
+    assert sector == SectorParams(0.5, 4.0, 0.25)
+    assert all(type(v) is float for v in sector.to_json().values())
+    op = diagonal_quadratic(np.array([1, 2]), np.zeros(2, dtype=np.float32))
+    assert op == diagonal_quadratic([1.0, 2.0], fixed_point=[0.0, 0.0])
+    assert all(type(v) is float for v in op.spectrum + op.fixed_point)
+    assert bilinear_operator(np.eye(2)) == bilinear_operator([[1.0, 0.0], [0.0, 1.0]])
+    minmax = build_minmax_operator(2.0 * np.eye(2), np.eye(2), np.ones((2, 2)), np.float32(0.5))
+    assert minmax == build_minmax_operator([[2, 0], [0, 2]], [[1, 0], [0, 1]],
+                                           [[1, 1], [1, 1]], 0.5)
+    assert type(minmax.mu) is float
+
+
 @pytest.mark.parametrize("mu,L,delta", [(0.5, 4.0, np.nan), (0.5, np.inf, 0.0), (np.nan, 4.0, 0.0)])
 def test_sector_params_reject_non_finite_values(mu, L, delta):
     # a nan delta used to pass every comparison and leave each method uncertified

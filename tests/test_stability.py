@@ -68,6 +68,13 @@ def test_is_schur_examples():
     assert not is_schur(boundary)
 
 
+def test_marginal_band_is_one_in_a_billion():
+    # a root 1e-8 inside the circle is stable; one 5e-10 inside lies in the
+    # band and is not. A band of 1e-6 fails the first, one of 1e-10 the second.
+    assert is_schur((-(1 - 1e-8), 1.0))
+    assert not is_schur((-(1 - 5e-10), 1.0))
+
+
 def test_spectral_radius_examples():
     assert_allclose(spectral_radius_poly((0.0, 1.0, -2.0, 1.0)), 1.0, rtol=1e-9)
     assert_allclose(spectral_radius_poly((4 / 9, -7 / 9, -2 / 9, 1.0)), 1.0, rtol=1e-9)

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 from freqcert.operators import diagonal_quadratic
 from freqcert.stability import roots
 from freqcert.transfer import (
+    _FAMILIES,
     MethodSpec,
     RationalTF,
     build_transfer,
@@ -297,8 +299,11 @@ def test_method_spec_json_round_trip():
         MethodSpec("hgd", eta=0.1, a=(2.0, -1.0)),
         MethodSpec("general", eta=0.1, a=(2.0, -1.0), b=(0.75, 0.25)),
     ]
+    assert sorted(VALID_FIELDS) == sorted(_FAMILIES)
+    specs += [MethodSpec(family, **valid) for family, valid in VALID_FIELDS.items()]
     for m in specs:
         assert MethodSpec.from_json(m.to_json()) == m
+        assert MethodSpec.from_json(json.loads(json.dumps(m.to_json()))) == m
 
 
 @pytest.mark.parametrize(
@@ -370,3 +375,12 @@ def test_each_value_rule_holds_in_every_family_that_takes_the_field(family, fiel
     MethodSpec(family, **VALID_FIELDS[family])
     with pytest.raises(ValueError, match=f"^{message}$"):
         MethodSpec(family, **{**VALID_FIELDS[family], field: bad})
+
+
+def test_numpy_scalars_and_arrays_pass_as_floats():
+    m = MethodSpec("general", eta=np.float32(0.25), a=np.array([1, 0]),
+                   b=np.array([0.5, 0.5], dtype=np.float32))
+    assert m == MethodSpec("general", eta=0.25, a=(1.0, 0.0), b=(0.5, 0.5))
+    assert all(type(v) is float for v in (m.eta, *m.a, *m.b))
+    assert MethodSpec("pid", kp=np.int64(0), ki=np.float64(0.5), kd=np.float32(0.125)) == (
+        MethodSpec("pid", kp=0.0, ki=0.5, kd=0.125))
