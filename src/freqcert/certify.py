@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .gain import UnstableSystemError, hinf_norm
-from .operators import SectorParams
+from .operators import SectorParams, json_number
 # is_schur stays bound here: the benchmark tracer wraps freqcert.certify.is_schur
 from .stability import is_schur  # noqa: F401
 from .transfer import (
@@ -39,6 +39,7 @@ class CertificationQuery:
     allow_non_strictly_proper: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "rho", json_number(self.rho, "rho"))
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
 

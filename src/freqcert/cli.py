@@ -58,7 +58,7 @@ def cmd_certify(args) -> int:
     query = CertificationQuery(
         method=MethodSpec.from_json(cfg["method"]),
         sector=SectorParams.from_json(cfg["sector"]),
-        rho=json_number(cfg["rho"], "rho"),
+        rho=cfg["rho"],
         allow_non_strictly_proper=_allow_improper(cfg, args),
     )
     result = certify(query)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import OperatorSpec, derived_sector, eval_operator
+from .operators import OperatorSpec, derived_sector, eval_operator, json_number
 from .transfer import MethodSpec, Recursion
 
 DIVERGENCE_FACTOR = 1e6
@@ -38,6 +38,7 @@ class NoiseAdversary:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown noise strategy {self.strategy!r}")
+        object.__setattr__(self, "delta", json_number(self.delta, "delta"))
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
         seed = self.seed  # numpy's generator takes only nonnegative integers

@@ -11,15 +11,6 @@ import numpy as np
 
 _SING_TOL = 1e-12
 
-# the required and the optional JSON fields of each operator kind besides "kind"
-JSON_FIELDS = {
-    "diagonal-quadratic": ({"spectrum"}, {"fixed_point"}),
-    "scalar-noncvx": (set(), set()),
-    "bilinear": ({"matrix"}, set()),
-    "minmax-quadratic": ({"p", "q", "c", "mu"}, set()),
-}
-KINDS = tuple(JSON_FIELDS)
-
 
 def json_object(data, what: str, required, optional) -> dict:
     """A config value that must be a JSON object with every ``required`` field
@@ -108,14 +99,7 @@ class SectorParams:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """A concrete operator with a unique zero at ``fixed_point``.
-
-    kinds:
-      diagonal-quadratic  componentwise scaling by ``spectrum``
-      scalar-noncvx       F(x) = 2x + sin(x), slope range [1, 3]
-      bilinear            saddle gradients of x^T A y, ``matrix`` holds A
-      minmax-quadratic    linear saddle gradients, ``jacobian`` holds the map
-    """
+    """An operator with a unique zero at ``fixed_point``, as its constructor in KINDS builds it."""
 
     kind: str
     fixed_point: tuple[float, ...]
@@ -123,43 +107,13 @@ class OperatorSpec:
     matrix: tuple[tuple[float, ...], ...] | None = None
     jacobian: tuple[tuple[float, ...], ...] | None = None
     mu: float | None = None
-    # F(x) = linear_map (x - fixed_point) for every kind but scalar-noncvx
-    # (None there); built once, read-only
-    linear_map: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # F(x) = linear_map (x - fixed_point), read-only; None for scalar-noncvx
+    linear_map: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        M = None
-        if self.kind == "diagonal-quadratic":
-            if not self.spectrum or len(self.spectrum) != self.dimension:
-                raise ValueError("spectrum must be non-empty and match the dimension")
-            if any(s <= 0 for s in self.spectrum):
-                raise ValueError("spectrum entries must be positive")
-            M = np.diag(np.asarray(self.spectrum, dtype=float))
-        elif self.kind == "scalar-noncvx":
-            if self.dimension != 1 or any(v != 0.0 for v in self.fixed_point):
-                raise ValueError("scalar operator is one-dimensional with fixed point 0")
-        elif self.kind == "bilinear":
-            A = np.asarray(self.matrix, dtype=float)
-            sv = coupling_singular_values(A)
-            if self.dimension != 2 * sv.size:
-                raise ValueError("dimension must be twice the coupling size")
-            if any(v != 0.0 for v in self.fixed_point):
-                raise ValueError("bilinear fixed point is the origin")
-            n = sv.size
-            M = np.zeros((2 * n, 2 * n))
-            M[:n, n:] = A
-            M[n:, :n] = -A.T
-        else:
-            M = np.array(self.jacobian, dtype=float)
-            if M.ndim != 2 or M.shape != (self.dimension, self.dimension):
-                raise ValueError("jacobian must be square of the declared dimension")
-            if self.mu is None or not self.mu > 0:
-                raise ValueError("declared modulus mu must be positive")
-        if M is not None:
-            M.flags.writeable = False
-        object.__setattr__(self, "linear_map", M)
+        _kind(self.kind)
+        if self.linear_map is not None:
+            self.linear_map.flags.writeable = False
 
     @property
     def dimension(self) -> int:
@@ -168,46 +122,51 @@ class OperatorSpec:
     @classmethod
     def from_json(cls, data: dict) -> "OperatorSpec":
         # the object and its kind first, then the fields of that kind
-        every_field = set().union(*(r | o for r, o in JSON_FIELDS.values()))
+        every_field = set().union(*(r | o for _, r, o in KINDS.values()))
         kind = json_object(data, "operator", {"kind"}, every_field)["kind"]
-        if kind not in KINDS:
-            raise ValueError(f"unknown operator kind {kind!r}")
-        required, optional = JSON_FIELDS[kind]
+        build, required, optional = _kind(kind)
         json_object(data, "operator", required | {"kind"}, optional)
-        build = {
-            "diagonal-quadratic": diagonal_quadratic,
-            "scalar-noncvx": scalar_noncvx,
-            "bilinear": bilinear_operator,
-            "minmax-quadratic": build_minmax_operator,
-        }
         # every other field is the keyword of that name of the kind's constructor, which reads it
-        return build[kind](**{key: value for key, value in data.items() if key != "kind"})
+        return build(**{key: value for key, value in data.items() if key != "kind"})
 
 
 def diagonal_quadratic(spectrum, fixed_point=None) -> OperatorSpec:
+    """Componentwise scaling by ``spectrum`` around ``fixed_point`` (default 0)."""
     spectrum = _floats(spectrum, "spectrum")
     if fixed_point is None:
         fixed_point = (0.0,) * len(spectrum)
     fixed_point = _floats(fixed_point, "fixed_point")
-    return OperatorSpec(kind="diagonal-quadratic", fixed_point=fixed_point, spectrum=spectrum)
+    if not spectrum or len(spectrum) != len(fixed_point):
+        raise ValueError("spectrum must be non-empty and match the dimension")
+    if any(s <= 0 for s in spectrum):
+        raise ValueError("spectrum entries must be positive")
+    return OperatorSpec(kind="diagonal-quadratic", fixed_point=fixed_point, spectrum=spectrum,
+                        linear_map=np.diag(np.asarray(spectrum, dtype=float)))
 
 
 def scalar_noncvx() -> OperatorSpec:
+    """F(x) = 2x + sin(x) on the line, slope range [1, 3]."""
     return OperatorSpec(kind="scalar-noncvx", fixed_point=(0.0,))
 
 
 def bilinear_operator(matrix) -> OperatorSpec:
+    """Saddle gradients (A y, -A' x) of x'Ay for a square non-singular A."""
     matrix = _floats(matrix, "matrix", rows=True)
-    return OperatorSpec(kind="bilinear", fixed_point=(0.0,) * (2 * len(matrix)), matrix=matrix)
+    A = np.asarray(matrix, dtype=float)
+    n = coupling_singular_values(A).size
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, n:] = A
+    M[n:, :n] = -A.T
+    return OperatorSpec(kind="bilinear", fixed_point=(0.0,) * (2 * n), matrix=matrix, linear_map=M)
 
 
 def build_minmax_operator(p, q, c, mu: float) -> OperatorSpec:
     """Saddle gradients of f(x, y) = x'Px/2 + x'Cy - y'Qy/2.
 
-    The declared modulus ``mu`` must not exceed the strong convexity of P and
-    the strong concavity of Q (their symmetric parts); violating blocks are
-    rejected with a diagnostic. The sector constant L follows from the
-    Jacobian, see :func:`derived_sector`.
+    The declared modulus ``mu`` must be positive and must not exceed the
+    strong convexity of P and the strong concavity of Q (their symmetric
+    parts); violating blocks are rejected with a diagnostic. The sector
+    constant L follows from the Jacobian, see :func:`derived_sector`.
     """
     P, Q, C = (np.array(_floats(b, name, rows=True)) for b, name in zip((p, q, c), "pqc"))
     mu = json_number(mu, "mu")
@@ -220,13 +179,28 @@ def build_minmax_operator(p, q, c, mu: float) -> OperatorSpec:
             raise ValueError(
                 f"{name} has modulus {lam:.6g}, below the declared mu={mu:.6g}"
             )
+    if not mu > 0:
+        raise ValueError("declared modulus mu must be positive")
     M = np.block([[P, C], [-C.T, Q]])
-    return OperatorSpec(
-        kind="minmax-quadratic",
-        fixed_point=(0.0,) * (n + m),
-        jacobian=tuple(tuple(row) for row in M),
-        mu=mu,
-    )
+    return OperatorSpec(kind="minmax-quadratic", fixed_point=(0.0,) * (n + m),
+                        jacobian=tuple(tuple(row) for row in M), mu=mu, linear_map=M)
+
+
+# each operator kind: its constructor, which reads and checks every field, and
+# the required and the optional JSON fields besides "kind" (its keywords)
+KINDS = {
+    "diagonal-quadratic": (diagonal_quadratic, {"spectrum"}, {"fixed_point"}),
+    "scalar-noncvx": (scalar_noncvx, set(), set()),
+    "bilinear": (bilinear_operator, {"matrix"}, set()),
+    "minmax-quadratic": (build_minmax_operator, {"p", "q", "c", "mu"}, set()),
+}
+
+
+def _kind(kind) -> tuple:
+    """The KINDS entry of ``kind``; rejects a name, or a non-string, that is no kind."""
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    return KINDS[kind]
 
 
 def _max_generalized_eig(T: np.ndarray, S: np.ndarray) -> float:

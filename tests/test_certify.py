@@ -1,4 +1,5 @@
 import importlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -314,6 +315,19 @@ def test_query_validation():
         CertificationQuery(MethodSpec("gd", eta=0.1), SECTOR, rho=1.0)
     with pytest.raises(ValueError):
         CertificationQuery(MethodSpec("gd", eta=0.1), SECTOR, rho=0.0)
+
+
+@pytest.mark.parametrize("rho, message", [
+    ("0.9", "rho must be a JSON number, not '0.9'"),
+    (True, "rho must be a JSON number, not True"),
+    (float("nan"), "rho must be finite"),
+])
+def test_query_rho_must_be_a_finite_number(rho, message):
+    # the same message the CLI prints for the same "rho" in a certify config
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CertificationQuery(MethodSpec("gd", eta=0.1), SECTOR, rho)
+    query = CertificationQuery(MethodSpec("gd", eta=0.1), SECTOR, np.float32(0.5))
+    assert query.rho == 0.5 and type(query.rho) is float
 
 
 def _shifted_pole_radius(method, sector):

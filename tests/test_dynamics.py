@@ -1,4 +1,5 @@
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -403,6 +404,20 @@ def test_history_points_must_have_the_shape_of_x0():
 def test_noise_seed_must_be_a_nonnegative_integer(strategy, seed):
     with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, not {seed!r}$"):
         NoiseAdversary(strategy, 0.1, seed=seed)
+
+
+@pytest.mark.parametrize("delta, message", [
+    (float("nan"), "delta must be finite"),
+    (float("inf"), "delta must be finite"),
+    ("0.1", "delta must be a JSON number, not '0.1'"),
+    (True, "delta must be a JSON number, not True"),
+])
+def test_noise_delta_must_be_a_finite_number(delta, message):
+    # a nan delta used to construct and make run report divergence at step 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        NoiseAdversary("scale_up", delta)
+    adversary = NoiseAdversary("scale_up", np.float32(0.25))
+    assert adversary.delta == 0.25 and type(adversary.delta) is float
 
 
 def test_numpy_integer_seeds_draw_like_python_ones():

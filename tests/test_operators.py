@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -219,6 +221,46 @@ def test_operator_from_json_matches_its_constructor():
 def test_operator_from_json_rejects_an_extra_field(cfg):
     with pytest.raises(ValueError, match="unknown operator fields"):
         OperatorSpec.from_json({**cfg, "extra": 1})
+
+
+# one input per operator check, with the exact message it raises; for minmax
+# the shapes are checked first, then the block moduli, then mu > 0
+OPERATOR_REJECTIONS = [
+    (diagonal_quadratic, "diagonal-quadratic", {"spectrum": [1.0, 0.0]},
+     "spectrum entries must be positive"),
+    (diagonal_quadratic, "diagonal-quadratic", {"spectrum": [1.0, -2.0], "fixed_point": [0.0]},
+     "spectrum must be non-empty and match the dimension"),
+    (bilinear_operator, "bilinear", {"matrix": [[1.0, 2.0]]}, "coupling matrix must be square"),
+    (build_minmax_operator, "minmax-quadratic",
+     {"p": [[1.0]], "q": [[1.0]], "c": [[0.5]], "mu": 0.0},
+     "declared modulus mu must be positive"),
+    (build_minmax_operator, "minmax-quadratic",
+     {"p": [[-2.0]], "q": [[1.0]], "c": [[0.5]], "mu": -1.0},
+     "convexity block has modulus -2, below the declared mu=-1"),
+    (build_minmax_operator, "minmax-quadratic",
+     {"p": [[1.0, 0.0], [0.0, 1.0]], "q": [[1.0]], "c": [[0.5]], "mu": -1.0},
+     "block shapes are inconsistent"),
+    (build_minmax_operator, "minmax-quadratic",
+     {"p": [[1.0, 0.0]], "q": [[1.0]], "c": [[0.5]], "mu": 0.5}, "block shapes are inconsistent"),
+]
+
+
+@pytest.mark.parametrize("build, kind, fields, message", OPERATOR_REJECTIONS)
+def test_operator_rejections_name_their_check(build, kind, fields, message):
+    exact = f"^{re.escape(message)}$"
+    with pytest.raises(ValueError, match=exact):
+        build(**fields)
+    with pytest.raises(ValueError, match=exact):
+        OperatorSpec.from_json({"kind": kind, **fields})
+
+
+@pytest.mark.parametrize("kind", [["bilinear"], {"bilinear": 1}, 1, None])
+def test_a_kind_that_is_no_string_is_an_unknown_kind(kind):
+    exact = f"^{re.escape(f'unknown operator kind {kind!r}')}$"
+    with pytest.raises(ValueError, match=exact):
+        OperatorSpec.from_json({"kind": kind, "matrix": [[1.0]]})
+    with pytest.raises(ValueError, match=exact):
+        OperatorSpec(kind=kind, fixed_point=(0.0, 0.0))
 
 
 def test_linear_map_is_read_only():

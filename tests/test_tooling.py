@@ -1,7 +1,9 @@
-"""The benchmark's tracer wraps library names where they are looked up; a
-rename in the library must fail here, not only in a traced benchmark run."""
+"""The benchmark's tracer wraps library names where they are looked up, and
+its workloads call library names; a rename in the library must fail here, not
+only in a benchmark run."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy
@@ -12,14 +14,20 @@ from freqcert.gain import hinf_norm
 from freqcert.operators import SectorParams, diagonal_quadratic
 from freqcert.transfer import MethodSpec, rho_scale
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(stem):
+    path = PERFBENCH / f"{stem}.py"
+    spec = importlib.util.spec_from_file_location(f"freqcert_bench_{stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def _load_tracer():
-    spec = importlib.util.spec_from_file_location("freqcert_bench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
 
 
 def test_tracer_installs_on_every_site_and_restores_them():
@@ -56,3 +64,14 @@ def test_tracer_counter_hooks_read_real_calls():
 
     traj = run(MethodSpec("gd", eta=0.2), diagonal_quadratic([0.5, 4.0]), [1.0, 1.0], 25)
     assert tracer_mod._steps((), {}, traj) == {"dynamics.steps": 25}
+
+
+def test_workloads_build_and_one_op_of_each_kind_passes_its_check(tmp_path):
+    workloads = _load("workloads")
+    first = {}
+    for name, build in workloads.WORKLOADS.items():
+        for op in build(1, str(tmp_path / name)):
+            first.setdefault(op.kind, op)
+    assert sorted(first) == ["best_rate", "game", "max_learning_rate", "run", "sweep"]
+    for op in first.values():
+        assert op.check(op.call()) is None, op.label
