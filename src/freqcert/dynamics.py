@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import numbers
@@ -90,7 +91,6 @@ class Trajectory:
     points: list = field(default_factory=list)
     distances: list = field(default_factory=list)
     diverged: bool = False
-    half_points: list | None = None
 
 
 def _implicit_stepper(op, adv, counter, coeff, keep_obs):
@@ -191,16 +191,14 @@ def run(
     is the point where s_(-1-i) was observed (for a method that evaluates
     away from its iterates, the stale evaluation point). Entries are observed
     oldest first. Without it ``x0`` fills every earlier slot and is observed
-    once. ``half_points`` records the evaluation points of methods that
-    evaluate away from their iterates. Non-finite iterates or growth beyond
-    ``DIVERGENCE_FACTOR`` times the initial distance mark the trajectory
-    diverged and stop it.
+    once. Non-finite iterates or growth beyond ``DIVERGENCE_FACTOR`` times
+    the initial distance mark the trajectory diverged and stop it.
     """
     if adversary is None:
         adversary = NoiseAdversary("none", 0.0)
     if steps < 1:
         raise ValueError("steps must be positive")
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.array(x0, dtype=float)  # the trajectory's own copy
     if x0.shape != (op.dimension,):
         raise ValueError("x0 dimension mismatch")
     fp = np.asarray(op.fixed_point)
@@ -224,21 +222,19 @@ def run(
         raise ValueError("implicit step needs a nonnegative coefficient")
     n_x = max(len(rec.b), len(rec.e))  # iterates x_k .. x_(k-n_x+1) in the state
     n_s = max(len(rec.c) - 1, len(rec.f))  # earlier observations s_(k-1) .. s_(k-n_s)
-    at_iterate = rec.evaluates_at_iterate
     half = op.dimension // 2  # the first player's block in alternating mode
     observes = bool(rec.c or rec.f)  # s_k enters the update explicitly
 
-    # X holds x_k, x_(k-1), ...; S holds s_(k-1), s_(k-2), ... until s_k is
-    # observed and pushed in front. Both are shifted in place, so the terms
-    # below stay bound to them.
-    X = [x0] * n_x
-    S = [None] * (n_s + 1)
+    # xs holds x_(1-n_x) .. x_k, one more each step; ss holds s_(k-n_s) ..
+    # s_(k-1), then s_k once observed. Terms index both from the end.
+    ss = collections.deque(maxlen=n_s + 1)
     pending = None  # s_k when it is already known
     if history is None:
+        xs = [x0] * n_x
         if n_s:
             s0 = observe(x0)
-            S[:n_s] = [s0] * n_s
-            if at_iterate:
+            ss.extend([s0] * n_s)
+            if rec.evaluates_at_iterate:
                 pending = s0
     else:
         history = [np.asarray(h, dtype=float) for h in history]
@@ -247,55 +243,42 @@ def run(
             raise ValueError(f"history must supply exactly {n_hist} earlier points")
         if any(h.shape != x0.shape for h in history):
             raise ValueError(f"history points must have the shape of x0, {x0.shape}")
-        X[1:] = history[: n_x - 1]
+        xs = history[: n_x - 1][::-1] + [x0]
         for i in range(n_s - 1, -1, -1):  # oldest first
-            S[i] = observe(history[i])
-    y_terms = [(w, X, i) for i, w in enumerate(rec.e)]
-    y_terms += [(-w, S, i) for i, w in enumerate(rec.f)]
-    x_terms = [(w, X, i) for i, w in enumerate(rec.b)]
-    x_terms += [(-w, S, i) for i, w in enumerate(rec.c)]
+            ss.append(observe(history[i]))
+    y_terms = [(w, xs, -1 - i) for i, w in enumerate(rec.e)]
+    y_terms += [(-w, ss, -1 - i) for i, w in enumerate(rec.f)]
+    x_terms = [(w, xs, -1 - i) for i, w in enumerate(rec.b)]
+    x_terms += [(-w, ss, -1 - i) for i, w in enumerate(rec.c)]
     solve = None
     if rec.implicit:
         solve = _implicit_stepper(op, adversary, counter, rec.implicit, observes)
 
-    traj = Trajectory()
-    traj.points.append(np.array(x0))
-    traj.distances.append(float(np.linalg.norm(x0 - fp)))
+    traj = Trajectory(distances=[float(np.linalg.norm(x0 - fp))])
     bound = DIVERGENCE_FACTOR * max(traj.distances[0], 1e-12)
-    halves = None if at_iterate else []
-    traj.half_points = halves
 
     for _ in range(steps):
-        if at_iterate:
-            y = X[0]
-        else:
-            y = _combine(y_terms)
-            halves.append(y)
+        y = _combine(y_terms)  # x_k itself for a method that evaluates at its iterates
         if observes:
-            S.insert(0, observe(y) if pending is None else pending)
-            S.pop()
+            ss.append(observe(y) if pending is None else pending)
         x = _combine(x_terms)
         if alternate:
             # the second block observes at (x_(k+1), y_k); the combine is
             # elementwise, so redoing it leaves the first block as it was
-            s = observe(np.concatenate([x[:half], X[0][half:]]))  # a fresh array
-            s[:half] = S[0][:half]
-            S[0] = s
+            s = observe(np.concatenate([x[:half], xs[-1][half:]]))  # a fresh array
+            s[:half] = ss[-1][:half]
+            ss[-1] = s
             x = _combine(x_terms)
         x, pending = (x, None) if solve is None else solve(x)
-        traj.points.append(np.array(x))
-        if not np.isfinite(x).all():
-            traj.distances.append(float("inf"))
-            traj.diverged = True
-            break
+        xs.append(x)
+        finite = np.isfinite(x).all()
         r = x - fp
-        d = math.sqrt(r.dot(r))  # what np.linalg.norm computes, without its overhead
+        d = math.sqrt(r.dot(r)) if finite else float("inf")  # np.linalg.norm, minus its overhead
         traj.distances.append(d)
-        if d > bound:
+        if not finite or d > bound:
             traj.diverged = True
             break
-        X.insert(0, x)
-        X.pop()
+    traj.points = xs[n_x - 1:]
     return traj
 
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
-from .stability import is_schur
+from .stability import horner, is_schur
 from .transfer import RationalTF
 
 # Unused here; kept bound because perfbench/tracer.py's grid_points counter reads them.
@@ -68,7 +68,6 @@ def hinf_norm(k: RationalTF) -> tuple[float, float]:
     xs = np.concatenate(([-1.0, 1.0], np.clip(C.chebroots(slope).real, -1.0, 1.0)))
     omegas = np.arccos(xs)
     z = np.exp(1j * omegas)
-    horner = np.polynomial.polynomial.polyval
-    vals = np.abs(horner(z, num) / horner(z, k.den))
+    vals = np.abs(horner(num, z) / horner(k.den, z))
     i = int(np.argmax(vals))
     return math.ldexp(float(vals[i]), e), float(omegas[i])

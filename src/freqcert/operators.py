@@ -67,7 +67,7 @@ def coupling_singular_values(matrix) -> np.ndarray:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("coupling matrix must be square")
     sv = np.linalg.svd(A, compute_uv=False)
-    if sv[-1] <= _SING_TOL * max(1.0, sv[0]):
+    if sv[-1] <= _SING_TOL * sv[0]:
         raise ValueError("coupling matrix must be non-singular")
     return sv
 
@@ -175,7 +175,7 @@ def build_minmax_operator(p, q, c, mu: float) -> OperatorSpec:
         raise ValueError("block shapes are inconsistent")
     for name, block in (("convexity block", P), ("concavity block", Q)):
         lam = float(np.min(np.linalg.eigvalsh(0.5 * (block + block.T))))
-        if lam < mu - 1e-12:
+        if lam < mu - 1e-12 * np.abs(block).max():
             raise ValueError(
                 f"{name} has modulus {lam:.6g}, below the declared mu={mu:.6g}"
             )
@@ -232,7 +232,7 @@ def derived_sector(op: OperatorSpec) -> SectorParams:
         mu = float(op.mu)
         L = _max_generalized_eig(M.T @ M, S)
         gap = S - mu * np.eye(M.shape[0])
-        if float(np.min(np.linalg.eigvalsh(gap))) > 1e-12:
+        if float(np.min(np.linalg.eigvalsh(gap))) > 1e-12 * np.abs(M).max():
             L_qsb = _max_generalized_eig(M.T @ M - mu * S, gap)
             L = max(L, L_qsb)
         return SectorParams(mu=mu, L=L)

@@ -21,6 +21,16 @@ def trim(coeffs, cut: float = COEFF_TRIM_TOL) -> tuple[float, ...]:
     return tuple(c)
 
 
+def horner(p, z):
+    """p(z) for a number or an array ``z``, by Horner's rule; bit for bit
+    what ``numpy.polynomial.polynomial.polyval`` returns, without its
+    conversion of ``p`` to an array."""
+    acc = p[-1] + z * 0
+    for c in p[-2::-1]:
+        acc = c + acc * z
+    return acc
+
+
 def roots(p) -> list[complex]:
     """All roots of the polynomial ``p`` with multiplicity, via
     companion-matrix eigenvalues, after :func:`trim`.

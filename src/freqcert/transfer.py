@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .operators import _floats, json_number, json_object
-from .stability import COEFF_TRIM_TOL, trim
+from .stability import COEFF_TRIM_TOL, horner, trim
 
 EQUAL_TOL = 1e-12
 
@@ -278,8 +278,7 @@ def tf_equal(a: RationalTF, b: RationalTF) -> bool:
 
 def evaluate(k: RationalTF, z: complex) -> complex:
     """num(z) / den(z) by Horner evaluation; rejects evaluation at a pole."""
-    nv = np.polynomial.polynomial.polyval(z, np.asarray(k.num))
-    dv = np.polynomial.polynomial.polyval(z, np.asarray(k.den))
+    nv, dv = horner(k.num, z), horner(k.den, z)
     scale = max(1.0, abs(z)) ** k.den_degree * max(abs(c) for c in k.den)
     if abs(dv) <= 1e-14 * scale:
         raise ZeroDivisionError(f"evaluation at a pole of the transfer function: z={z}")

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import re
 
 import numpy as np
@@ -22,7 +23,7 @@ from freqcert.operators import (
 )
 from freqcert.games import game_factor
 from freqcert.stability import spectral_radius_poly
-from freqcert.transfer import MethodSpec, build_transfer
+from freqcert.transfer import MethodSpec, Recursion, build_transfer
 
 
 def test_gd_contracts_at_the_equalized_rate():
@@ -224,28 +225,127 @@ def test_time_domain_equivalences_are_bitwise():
         assert np.array_equal(a, b)
 
 
-def test_past_extragradient_aligns_with_the_optimistic_iterates():
+def _recursion_by_hand(method, op, adv, x0, steps, history):
+    """The points of y_k = sum_i e_i x_(k-i) - sum_i f_i s_(k-1-i) and
+    x_(k+1) = sum_i b_i x_(k-i) - sum_i c_i s_(k-i), each sum taken in that
+    order, with s_k = F_obs(y_k) observed under consecutive noise indices."""
+    rec = Recursion.of(method)
+    n_x = max(len(rec.b), len(rec.e))
+    n_s = max(len(rec.c) - 1, len(rec.f))
+    index = itertools.count()
+
+    def observe(y):
+        return apply_noise(adv, eval_operator(op, y), next(index))
+
+    x0 = np.asarray(x0, dtype=float)
+    x, s = {0: x0}, {}  # x_j and s_j by their index j
+    if history is None:  # x0 fills every earlier slot and is observed once
+        x.update({-j: x0 for j in range(1, n_x)})
+        if n_s:
+            s0 = observe(x0)
+            s.update({-j: s0 for j in range(1, n_s + 1)})
+            if rec.e == (1.0,) and not rec.f:  # y_0 is x0, observed already
+                s[0] = s0
+    else:  # history[i] is x_(-1-i), where s_(-1-i) was observed, oldest first
+        x.update({-1 - i: np.asarray(h, dtype=float) for i, h in enumerate(history)})
+        for i in range(n_s - 1, -1, -1):
+            s[-1 - i] = observe(history[i])
+
+    def total(terms):
+        acc = None
+        for w, v in terms:
+            acc = w * v if acc is None else acc + w * v
+        return acc
+
+    for k in range(steps):
+        y = total([(w, x[k - i]) for i, w in enumerate(rec.e)]
+                  + [(-w, s[k - 1 - i]) for i, w in enumerate(rec.f)])
+        if k not in s:
+            s[k] = observe(y)
+        x[k + 1] = total([(w, x[k - i]) for i, w in enumerate(rec.b)]
+                         + [(-w, s[k - i]) for i, w in enumerate(rec.c)])
+    return [x[k] for k in range(steps + 1)]
+
+
+@pytest.mark.parametrize("method", [
+    MethodSpec("gd", eta=0.3),
+    MethodSpec("ogd", eta=0.2),
+    MethodSpec("gogd", alpha=0.2, beta=0.1),
+    MethodSpec("hgd", eta=0.1, a=(1.0, 0.5, -0.3)),
+    MethodSpec("general", eta=0.2, a=(1.5, -0.5), b=(0.9, 0.1)),
+    MethodSpec("general", eta=0.1, a=(1.0, 0.5, -0.5), b=(0.5, 0.3, 0.2)),
+    MethodSpec("pegd", eta=0.2),
+    MethodSpec("rgd", eta=0.15),
+])
+def test_run_follows_its_recursion_bit_for_bit(method):
+    op = diagonal_quadratic([0.5, 1.5, 3.0], [0.25, -1.0, 2.0])
+    x0 = np.array([1.0, -0.5, 0.75])
+    rec = Recursion.of(method)
+    n_hist = max(max(len(rec.b), len(rec.e)) - 1, max(len(rec.c) - 1, len(rec.f)))
+    rng = np.random.default_rng(3)
+    history = [x0 + 0.1 * rng.normal(size=3) for _ in range(n_hist)]
+    for hist in (None, history):
+        for strategy in ("none", "scale_up", "random"):  # random pins the noise indices
+            adv = NoiseAdversary(strategy, 0.0 if strategy == "none" else 0.05, seed=2)
+            t = run(method, op, x0, 30, adv, history=hist)
+            want = _recursion_by_hand(method, op, adv, x0, 30, hist)
+            assert not t.diverged and len(t.points) == len(want) == 31
+            assert all(np.array_equal(a, b) for a, b in zip(t.points, want)), (hist, strategy)
+
+
+def test_run_copies_its_start_point():
+    op = diagonal_quadratic([0.5, 2.0])
+    for method in (MethodSpec("gd", eta=0.3), MethodSpec("pp", eta=0.5), MethodSpec("rgd", eta=0.2)):
+        x0 = np.array([1.0, -1.0])
+        t = run(method, op, x0, 5)
+        x0[:] = 7.0
+        assert np.array_equal(t.points[0], [1.0, -1.0]), method.family
+        before = [np.array(p) for p in t.points]
+        t.points[1][:] = 9.0
+        assert all(np.array_equal(a, b) for a, b in zip(t.points[2:], before[2:]))
+        assert np.array_equal(t.points[0], before[0])
+
+
+def _evaluation_points(monkeypatch, *args):
+    """The points the operator evaluations of ``run(*args)`` receive, in order."""
+    dynamics = importlib.import_module("freqcert.dynamics")
+    seen = []
+    evaluate = dynamics.eval_operator
+
+    def recorded(op, x):
+        seen.append(np.array(x))
+        return evaluate(op, x)
+
+    monkeypatch.setattr(dynamics, "eval_operator", recorded)
+    run(*args)
+    monkeypatch.undo()
+    return seen
+
+
+def test_past_extragradient_aligns_with_the_optimistic_iterates(monkeypatch):
     # the half points follow the optimistic recursion started at x0 - eta F(x0)
     # with the stale gradient taken at x0
     op = scalar_noncvx()
     eta = 0.1
     x0 = np.array([0.3])
-    pegd = run(MethodSpec("pegd", eta=eta), op, x0, 40)
+    halves = _evaluation_points(monkeypatch, MethodSpec("pegd", eta=eta), op, x0, 40)
+    halves = halves[1:]  # the first observation, at x0, fills s_(-1)
     shifted_start = x0 - eta * eval_operator(op, x0)
     ogd = run(MethodSpec("ogd", eta=eta), op, shifted_start, 39, history=[x0])
-    for half, point in zip(pegd.half_points, ogd.points):
+    for half, point in zip(halves, ogd.points):
         assert_allclose(half, point, atol=5e-16)
 
 
-def test_reflected_step_aligns_with_the_optimistic_iterates():
+def test_reflected_step_aligns_with_the_optimistic_iterates(monkeypatch):
     # with a replicated start the reflected half points follow the optimistic
     # recursion whose stale gradient history is zero (taken at the fixed point)
     op = scalar_noncvx()
     eta = 0.1
     x0 = np.array([0.3])
-    rgd = run(MethodSpec("rgd", eta=eta), op, x0, 40)
+    # the first recorded point is y_0: rgd makes no observation before it
+    halves = _evaluation_points(monkeypatch, MethodSpec("rgd", eta=eta), op, x0, 40)
     ogd = run(MethodSpec("ogd", eta=eta), op, x0, 39, history=[np.zeros(1)])
-    for half, point in zip(rgd.half_points, ogd.points):
+    for half, point in zip(halves, ogd.points):
         assert_allclose(half, point, atol=5e-16)
 
 

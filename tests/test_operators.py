@@ -158,6 +158,23 @@ def test_bilinear_rejects_singular_coupling():
         bilinear_operator([[1.0, 1.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize("c", [2.0 ** -60, 1.0, 2.0 ** 60])
+def test_operator_checks_are_scale_free(c):
+    # each check compares against the operator's own magnitude: at c = 2^-60 an
+    # absolute tolerance called c I singular, accepted a block of modulus 5c
+    # below mu = 10c, and skipped the combined-bound enlargement of L
+    bilinear_operator([[c, 0.0], [0.0, c]])
+    with pytest.raises(ValueError, match="non-singular"):
+        bilinear_operator([[c, c], [c, c]])
+    build_minmax_operator([[5 * c]], [[5 * c]], [[c]], mu=5 * c)
+    with pytest.raises(ValueError, match="modulus"):
+        build_minmax_operator([[5 * c]], [[5 * c]], [[c]], mu=10 * c)
+    P, Q, C = [[2 * c, 0.1 * c], [0.1 * c, 2 * c]], [[2 * c]], [[0.7 * c], [0.2 * c]]
+    sec = derived_sector(build_minmax_operator(P, Q, C, mu=c))
+    assert sec.mu == c
+    assert_allclose(sec.L / c, 2.59397568299192, rtol=1e-13)
+
+
 def test_bilinear_has_no_strongly_monotone_sector():
     with pytest.raises(ValueError):
         derived_sector(bilinear_operator([[1.0]]))

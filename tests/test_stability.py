@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from freqcert.stability import (
     MARGINAL_ROOT_BAND,
+    horner,
     is_schur,
     roots,
     spectral_radius_poly,
@@ -11,6 +12,21 @@ from freqcert.stability import (
 )
 
 polyval = np.polynomial.polynomial.polyval
+
+
+def test_horner_is_polyval_bit_for_bit():
+    # signed zeros included: both start from p[-1] + z * 0
+    rng = np.random.default_rng(11)
+    polys = [(0.0,), (-0.0, 1.0), (0.3, -0.0, -2.0), tuple(rng.normal(size=7))]
+    zs = [0.0, -0.0, 2.0, -1.5, 1j, np.exp(0.3j), np.complex128(-0.0 - 0.0j),
+          np.exp(1j * np.linspace(0.0, np.pi, 9)), np.array([-0.0, 0.5, -2.0])]
+    for p in polys:
+        for z in zs:
+            got, want = np.asarray(horner(p, z)), np.asarray(polyval(z, p))
+            assert got.shape == want.shape
+            for part in ("real", "imag"):
+                a, b = getattr(got, part), getattr(want, part)
+                assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_linear_root():
