@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .gain import UnstableSystemError, hinf_norm
+from .gain import UnstableSystemError, hinf_norm, level_radius
 from .operators import SectorParams, json_number
 # is_schur stays bound here: the benchmark tracer wraps freqcert.certify.is_schur
 from .stability import is_schur  # noqa: F401
@@ -134,21 +134,28 @@ def best_rate(
     sector: SectorParams,
     allow_improper: bool = False,
 ) -> float | None:
-    """Smallest certified rate, to width ``RHO_TOL``, by bisection; None when
-    nothing certifies even arbitrarily close to 1.
+    """Smallest certified rate, to width ``RHO_TOL``; None when nothing
+    certifies even arbitrarily close to 1.
 
-    The shifted loop is built once; each probe only rescales it by rho and
-    runs the stability and gain checks, exactly as :func:`certify` would.
-    The returned rate certifies, since :func:`_bisect` moves its certified
-    end only to a certified probe. Bisection needs certification to be
-    monotone in rho, and it is.
     Let N/D be the shifted loop and gamma the gain threshold. Certified at r
     means |delta N| < |D| on |z| = r for every |delta| <= 1/gamma, so by
     Rouche's theorem D + delta N has no root with |z| >= r. A point z with
     |z| >= r and |N(z)| >= gamma |D(z)| would give one, at
     delta = -D(z)/N(z); so the loop certifies on every larger circle too.
     ``test_certification_is_monotone_above_best_rate`` checks this on all
-    nine families.
+    nine families. Conversely, the roots of D lie in that level set, and the
+    gain on a circle outside it stays below gamma: the loop certifies at r
+    exactly when r > rho*, the largest |z| of the level set
+    (:func:`~freqcert.gain.level_radius`).
+
+    The shifted loop is built once; each probe only rescales it by rho and
+    runs the stability and gain checks, exactly as :func:`certify` would.
+    After the probe at ``RHO_PROBE``, the search probes a ladder of rates
+    just above rho*, rho* (1 + 1e-12 8^k) for k = 0 .. 6, and returns the
+    first that certifies (``RHO_TOL`` when rho* lies below it), so the
+    returned rate has passed a probe. Should rounding leave every rung
+    uncertified, :func:`_bisect` brackets the rate between the last rung
+    and ``RHO_PROBE``.
     """
     k, shifted = _shifted_loop(method, sector)
     if not (k.strictly_proper or allow_improper):
@@ -160,9 +167,13 @@ def best_rate(
 
     if not certified(RHO_PROBE):
         return None
-    if certified(RHO_TOL):
-        return RHO_TOL
-    return _bisect(certified, RHO_PROBE, RHO_TOL, RHO_TOL)
+    rho = level_radius(shifted, threshold)
+    # relative offsets 1e-12 8^i, i < 7, stay below RHO_TOL
+    ladder = [min(rho * (1.0 + 1e-12 * 8.0**i), RHO_PROBE) for i in range(7)]
+    for bad in [RHO_TOL] if rho < RHO_TOL else ladder:
+        if certified(bad):
+            return bad
+    return _bisect(certified, RHO_PROBE, bad, RHO_TOL)
 
 
 def max_learning_rate(

@@ -14,7 +14,7 @@ import math
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
-from .stability import horner, is_schur
+from .stability import horner, is_schur, spectral_radius_poly
 from .transfer import RationalTF
 
 # Unused here; kept bound because perfbench/tracer.py's grid_points counter reads them.
@@ -35,6 +35,39 @@ def cos_power_profile(coeffs) -> np.ndarray:
     cheb = np.correlate(c, c, "full")[c.size - 1:]
     cheb[1:] *= 2.0
     return cheb
+
+
+def level_radius(k: RationalTF, gamma: float) -> float:
+    """rho* = sup |z| over |N(z)| >= gamma |D(z)|, for the loop k = N/D, by the
+    criss-cross method (Mengi and Overton 2005). From the circle through the
+    largest root of D, each pass finds the arcs of |z| = r inside that level
+    set, roots of a Chebyshev series in x = cos(omega), and moves r out along
+    the ray through each arc's middle to where the ray leaves the set, a root
+    of a polynomial in r. Numerator and gamma are scaled as in
+    :func:`hinf_norm`, so gamma^2 stays finite and the result scale-free."""
+    e = math.frexp(max(map(abs, k.num)))[1]
+    den = np.array(k.den)
+    num = np.zeros(den.size)  # padded to den's length, so the profiles align
+    num[: len(k.num)] = [math.ldexp(c, -e) for c in k.num]
+    g2 = math.ldexp(gamma, -e) ** 2
+    r = spectral_radius_poly(den)
+    while True:
+        powers = r ** np.arange(den.size)
+        s = cos_power_profile(num * powers) - g2 * cos_power_profile(den * powers)
+        xs = C.chebroots(C.chebtrim(s, 0))
+        xs = np.array(sorted({-1.0, 1.0, *np.clip(xs.real[abs(xs.imag) <= 1e-9], -1.0, 1.0)}))
+        keep = C.chebval(0.5 * (xs[:-1] + xs[1:]), s) >= 0
+        omegas = [0.5 * (math.acos(a) + math.acos(b)) for a, b in zip(xs[:-1][keep], xs[1:][keep])]
+        # an arc through x = 1 or -1 is centred at omega = 0 or pi; its half's
+        # middle stays a candidate in case that centre only touches the set
+        omegas += [0.0] * bool(keep[-1]) + [math.pi] * bool(keep[0])
+        prev = r
+        for w in omegas:
+            a, b = (c * np.exp(1j * w * np.arange(den.size)) for c in (num, den))
+            rs = np.roots((np.convolve(a, a.conj()).real - g2 * np.convolve(b, b.conj()).real)[::-1])
+            r = max(r, rs.real[(abs(rs.imag) <= 1e-9) & (rs.real > 0)].max(initial=0.0))
+        if not omegas or r <= prev * (1.0 + 1e-15):
+            return float(r)
 
 
 def hinf_norm(k: RationalTF) -> tuple[float, float]:

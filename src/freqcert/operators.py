@@ -227,15 +227,18 @@ def derived_sector(op: OperatorSpec) -> SectorParams:
     if op.kind == "scalar-noncvx":
         return SectorParams(mu=1.0, L=3.0)
     if op.kind == "minmax-quadratic":
-        M = op.linear_map
+        # M'M squares M: scale M and mu by 2^-e first, exactly, and L back
+        # after; e is even, so the Cholesky factor scales exactly too
+        e = 2 * (math.frexp(np.abs(op.linear_map).max())[1] // 2)
+        M = np.ldexp(op.linear_map, -e)
         S = 0.5 * (M + M.T)
-        mu = float(op.mu)
+        mu = math.ldexp(op.mu, -e)
         L = _max_generalized_eig(M.T @ M, S)
         gap = S - mu * np.eye(M.shape[0])
         if float(np.min(np.linalg.eigvalsh(gap))) > 1e-12 * np.abs(M).max():
             L_qsb = _max_generalized_eig(M.T @ M - mu * S, gap)
             L = max(L, L_qsb)
-        return SectorParams(mu=mu, L=L)
+        return SectorParams(mu=float(op.mu), L=math.ldexp(L, e))
     raise ValueError(f"{op.kind} admits no strongly monotone sector")
 
 

@@ -16,9 +16,11 @@ from freqcert.certify import (
     frequency_response,
     gain_threshold,
     max_learning_rate,
+    _bisect,
+    _certified_at,
     _shifted_loop,
 )
-from freqcert.gain import hinf_norm
+from freqcert.gain import hinf_norm, level_radius
 from freqcert.operators import SectorParams
 from freqcert.stability import (
     MARGINAL_ROOT_BAND,
@@ -502,31 +504,116 @@ def test_certification_is_monotone_above_best_rate(delta, family_corpus):
     assert len(families) == 9
 
 
-def test_is_schur_matches_the_recursion_on_bisection_probes(
-    monkeypatch, schur_recursion, family_corpus
-):
-    # every scaled denominator a best_rate search visits, over all nine families
-    loops = []
-    scale = certify_mod.rho_scale
-
-    def recorded(tf, rho):
-        loops.append(scale(tf, rho))
-        return loops[-1]
-
-    monkeypatch.setattr(certify_mod, "rho_scale", recorded)
+def test_is_schur_matches_the_recursion_on_a_rho_ladder(schur_recursion, family_corpus):
+    # every shifted loop of all nine families, scaled over a fixed ladder of
+    # rates and at rates within 1e-6 of its best rate, where its scaled poles
+    # come closest to the unit circle
+    checked = disagree = 0
     for delta in (0.0, 0.04):
         sector = SectorParams(mu=0.5, L=4.0, delta=delta)
         for method, allow in family_corpus(5):
-            best_rate(method, sector, allow_improper=allow)
-    checked = disagree = 0
-    for loop in loops:
-        den = loop.den
-        if len(den) < 2 or abs(spectral_radius_poly(den) - 1.0) <= MARGINAL_ROOT_BAND:
-            continue
-        checked += 1
-        disagree += is_schur(den) != schur_recursion(den)
+            shifted = _shifted_loop(method, sector)[1]
+            ladder = list(np.linspace(0.05, RHO_PROBE, 16))
+            rate = best_rate(method, sector, allow_improper=allow)
+            if rate is not None:
+                ladder += [rate + d for d in (-1e-6, -1e-7, -1e-9, 0.0, 1e-9, 1e-7, 1e-6)]
+            for rho in ladder:
+                den = rho_scale(shifted, rho).den
+                if abs(spectral_radius_poly(den) - 1.0) <= MARGINAL_ROOT_BAND:
+                    continue
+                checked += 1
+                disagree += is_schur(den) != schur_recursion(den)
     assert checked > 500
     assert disagree == 0
+
+
+def _bisected_rate(method, sector, allow):
+    # the search best_rate ran before it read rho* off the level set
+    k, shifted = _shifted_loop(method, sector)
+    if not (k.strictly_proper or allow):
+        return None
+    threshold = gain_threshold(sector)
+
+    def certified(rho):
+        return _certified_at(shifted, rho, threshold)[0]
+
+    if not certified(RHO_PROBE):
+        return None
+    if certified(RHO_TOL):
+        return RHO_TOL
+    return _bisect(certified, RHO_PROBE, RHO_TOL, RHO_TOL)
+
+
+def _certifies(method, sector, rho, allow):
+    return certify(CertificationQuery(method, sector, rho, allow)).certified
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_best_rate_lies_within_the_bisection_width_below_it(seed, family_corpus):
+    # the rate certifies, lies in [bisected - RHO_TOL, bisected], and 1e-9
+    # below it nothing certifies: it is rho* up to the first rung of the ladder
+    rated = 0
+    for delta in (0.0, 0.04):
+        sector = SectorParams(mu=0.5, L=4.0, delta=delta)
+        for method, allow in family_corpus(seed):
+            rate = best_rate(method, sector, allow_improper=allow)
+            bisected = _bisected_rate(method, sector, allow)
+            assert (rate is None) == (bisected is None), (method, delta)
+            if rate is None:
+                continue
+            rated += 1
+            assert _certifies(method, sector, rate, allow), (method, delta, rate)
+            assert bisected - RHO_TOL <= rate <= bisected, (method, delta, rate, bisected)
+            assert not _certifies(method, sector, rate - 1e-9, allow), (method, delta, rate)
+    assert rated >= 30
+
+
+def test_a_search_makes_at_most_two_probes(monkeypatch, family_corpus):
+    # RHO_PROBE, then the first rung of the ladder; an uncertified loop stops
+    # after RHO_PROBE
+    scales = _count_calls(monkeypatch, certify_mod, "rho_scale")
+    counts = {True: set(), False: set()}
+    for delta in (0.0, 0.04):
+        sector = SectorParams(mu=0.5, L=4.0, delta=delta)
+        for method, allow in family_corpus(5) + [(MethodSpec("hgd", eta=0.2, a=(1.0, -1.0)), False)]:
+            scales.clear()
+            rate = best_rate(method, sector, allow_improper=allow)
+            counts[rate is not None].add(len(scales))
+    assert max(counts[True]) <= 2
+    assert counts[False] == {1}
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.04])
+def test_a_level_radius_too_low_falls_back_to_bisection(monkeypatch, delta, family_corpus):
+    # with rho* halved every rung of the ladder is uncertified; the bisection
+    # between the last rung and RHO_PROBE still returns a certified, tight rate
+    level_radius = certify_mod.level_radius
+    monkeypatch.setattr(certify_mod, "level_radius", lambda k, gamma: 0.5 * level_radius(k, gamma))
+    bisections = _count_calls(monkeypatch, certify_mod, "_bisect")
+    sector = SectorParams(mu=0.5, L=4.0, delta=delta)
+    rated = 0
+    for method, allow in family_corpus(5):
+        rate = best_rate(method, sector, allow_improper=allow)
+        if rate is None:
+            continue
+        rated += 1
+        assert _certifies(method, sector, rate, allow), (method, rate)
+        if rate > RHO_TOL:
+            assert not _certifies(method, sector, rate - RHO_TOL, allow), (method, rate)
+    assert len(bisections) == rated > 0
+
+
+@pytest.mark.parametrize("eta", [0.05, 0.2, 0.3, 0.4])
+def test_level_radius_reads_the_closed_form_rates(eta):
+    # gd's rate max|1 - eta lambda| over the sector ends, and pp's 1/(1 + mu eta)
+    threshold = gain_threshold(SECTOR)
+    gd = _shifted_loop(MethodSpec("gd", eta=eta), SECTOR)[1]
+    assert_allclose(level_radius(gd, threshold), max(1 - 0.5 * eta, 4 * eta - 1), rtol=1e-14)
+    pp = _shifted_loop(MethodSpec("pp", eta=eta), SECTOR)[1]
+    assert_allclose(level_radius(pp, threshold), 1 / (1 + 0.5 * eta), rtol=1e-14)
+    for c in (2.0**-1000, 2.0**1000):  # a power of two, scaled exactly
+        scaled = RationalTF(tuple(v * c for v in gd.num), gd.den)
+        assert level_radius(scaled, threshold * c) == level_radius(gd, threshold)
 
 
 def test_coefficient_maps_find_no_roots(monkeypatch):
@@ -635,9 +722,11 @@ def test_searches_are_scale_free(family_corpus):
 
 def test_a_probe_beyond_the_float_range_is_uncertified():
     # rho^-n leaves the float range once n log10(1/rho) > 308; at the RHO_TOL
-    # probe that is from horizon 52 on, where best_rate used to raise
+    # probe that is from horizon 52 on, where best_rate used to raise. gd's
+    # exact rate is 0.9; the search returns the first rung above it
     gd = best_rate(MethodSpec("gd", eta=0.2), SECTOR)
-    assert gd == 0.9000007258758546
+    assert gd == 0.9000000000009002
+    assert 0.9 < gd < 0.9 + 1e-9
     for n in (2, 51, 52, 120):
         assert best_rate(MethodSpec("hgd", eta=0.2, a=(1.0,) + (0.0,) * (n - 1)), SECTOR) == gd
     hgd3 = MethodSpec("hgd", eta=0.2, a=(1.0, 0.0, 0.0))

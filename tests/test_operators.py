@@ -175,6 +175,16 @@ def test_operator_checks_are_scale_free(c):
     assert_allclose(sec.L / c, 2.59397568299192, rtol=1e-13)
 
 
+@pytest.mark.parametrize("c", [2.0**-600, 2.0**-400, 1.0, 2.0**400, 2.0**520])
+def test_derived_sector_is_scale_free_to_the_float_limits(c):
+    # M'M of the unscaled Jacobian underflows at 2^-600 (L came out 0) and
+    # overflows at 2^520 (eigvalsh did not converge)
+    P, Q, C = [[2 * c, 0.1 * c], [0.1 * c, 2 * c]], [[2 * c]], [[0.7 * c], [0.2 * c]]
+    sec = derived_sector(build_minmax_operator(P, Q, C, mu=c))
+    assert sec.mu / c == 1.0
+    assert_allclose(sec.L / c, 2.59397568299192, rtol=1e-13)
+
+
 def test_bilinear_has_no_strongly_monotone_sector():
     with pytest.raises(ValueError):
         derived_sector(bilinear_operator([[1.0]]))
