@@ -8,12 +8,13 @@ supremum gain below 1 / ((L - mu)/2 + L delta). The noiseless threshold is
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .gain import UnstableSystemError, hinf_norm, level_radius
+from .gain import UnstableSystemError, hinf_norm, level_radius, step_margin
 from .operators import SectorParams, json_number
 # is_schur stays bound here: the benchmark tracer wraps freqcert.certify.is_schur
 from .stability import is_schur  # noqa: F401
@@ -119,9 +120,12 @@ def certify(q: CertificationQuery) -> CertificationResult:
 
 def _bisect(certified, good: float, bad: float, width: float) -> float:
     """Halve the bracket between a certified ``good`` and an uncertified
-    ``bad`` until they lie within ``width``; returns the certified end."""
+    ``bad`` until they lie within ``width``, or no float lies between them;
+    returns the certified end."""
     while abs(good - bad) > width:
         mid = 0.5 * (good + bad)
+        if mid in (good, bad):  # the float spacing there exceeds width
+            break
         if certified(mid):
             good = mid
         else:
@@ -181,14 +185,24 @@ def max_learning_rate(
     sector: SectorParams,
     allow_improper: bool = False,
 ) -> float | None:
-    """Largest step size, to width 1e-6 / L, whose method still certifies at
-    ``RHO_PROBE``. ``method`` acts as a template; its ``eta`` field is swept
-    over (0, 4/mu], a cap clamped to the largest float when a subnormal mu
-    overflows it. Returns None when no step size certifies.
+    """Largest step size whose method still certifies at ``RHO_PROBE``, up to
+    a relative 2.6e-7 below the exact one (or width 1e-6 / L when the search
+    falls back to bisection). ``method`` acts as a template; its ``eta``
+    field is swept over (0, 4/mu], a cap clamped to the largest float when a
+    subnormal mu overflows it. Returns None when no step size certifies.
 
     The step size scales every numerator coefficient of K and no denominator
     coefficient: K = eta K1. So K1 is built once and decides properness,
-    and each probe scales its numerator."""
+    and each probe scales its numerator. Probes at the cap and then at its
+    halvings find a certified eta0 below an uncertified step. Raising the
+    step from eta0, the probe first fails where the scaled loop's gain
+    reaches the threshold on the circle: a root of the loop leaving the
+    circle would pass through a point of infinite gain. That step,
+    e* = :func:`~freqcert.gain.step_margin`, is the circle criterion's gain
+    margin. The search then probes the ladder e* (1 - 1e-12 8^k), k = 0 .. 6,
+    above eta0, and returns the first step that certifies, so the returned
+    step has passed a probe. Should no rung certify, :func:`_bisect`
+    brackets the step between eta0 and the last rung."""
     if method.eta is None:
         raise ValueError("method family must carry a learning-rate field")
     unit = build_transfer(replace(method, eta=1.0))
@@ -204,10 +218,23 @@ def max_learning_rate(
     bad = eta = min(4.0 / sector.mu, sys.float_info.max)
     for _ in range(81):  # the cap, then 80 halvings
         if certifiable(eta):
-            return _bisect(certifiable, eta, bad, 1e-6 / sector.L)
+            break
         bad = eta
         eta /= 2.0
-    return None
+    else:
+        return None
+    if eta == bad:  # the cap certifies
+        return eta
+    top = step_margin(unit, RHO_PROBE, h, 1.0 / threshold, eta, bad)
+    # relative offsets 1e-12 8^i, i < 7, as in best_rate's ladder
+    ladder = [top * (1.0 - 1e-12 * 8.0**i) for i in range(7)] if top < math.inf else []
+    for rung in ladder:
+        if rung <= eta:
+            break
+        if certifiable(rung):
+            return rung
+        bad = rung
+    return _bisect(certifiable, eta, bad, 1e-6 / sector.L)
 
 
 def _close(x: float, y: float) -> bool:

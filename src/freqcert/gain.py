@@ -26,15 +26,24 @@ class UnstableSystemError(ValueError):
     """The gain is asked of a system whose denominator is not Schur-stable."""
 
 
+def cross_profile(a, b) -> np.ndarray:
+    """Re(a(z) conj(b(z))) on |z| = 1, a(z) = sum_k a_k z^k, as Chebyshev
+    coefficients in x = cos(omega), for equal-length real ``a`` and ``b``."""
+    c = np.correlate(a, b, "full")
+    m = c.size // 2  # lag 0
+    # Chebyshev coefficient d collects a_k b_l over k - l = d and k - l = -d:
+    # the correlation at lags d and -d, lag 0 once (with one coefficient,
+    # cheb[1:] is empty and nothing is added)
+    cheb = c[m:]
+    cheb[1:] += c[m - 1::-1]
+    return cheb
+
+
 def cos_power_profile(coeffs) -> np.ndarray:
     """|sum_k c_k e^{jk omega}|^2 as Chebyshev coefficients in x = cos(omega),
     for ``numpy.polynomial.chebyshev``."""
     c = np.asarray(coeffs, dtype=float)
-    # Chebyshev coefficient m collects c_k c_l over |k - l| = m: the
-    # autocorrelation at lag m, counted once for m = 0 and twice otherwise.
-    cheb = np.correlate(c, c, "full")[c.size - 1:]
-    cheb[1:] *= 2.0
-    return cheb
+    return cross_profile(c, c)
 
 
 def level_radius(k: RationalTF, gamma: float) -> float:
@@ -68,6 +77,50 @@ def level_radius(k: RationalTF, gamma: float) -> float:
             r = max(r, rs.real[(abs(rs.imag) <= 1e-9) & (rs.real > 0)].max(initial=0.0))
         if not omegas or r <= prev * (1.0 + 1e-15):
             return float(r)
+
+
+def step_margin(unit: RationalTF, rho: float, h: float, r: float, lo: float, hi: float) -> float:
+    """Least step size e in (lo, hi] at which the loop e * unit, shifted by h
+    and scaled by rho, reaches the gain 1/r on |z| = rho, given that the
+    loop at step ``lo`` stays below that gain; inf when none does.
+
+    With unit = n1/d1, that gain is reached where d1(z) / (e n1(z)) meets the
+    disk of centre h and radius r: where G(x, e) = a1 e^2 + b1 e + c1 = 0,
+    with a1 = (h^2 - r^2) |n1|^2, b1 = -2h Re(d1 conj(n1)) and c1 = |d1|^2 as
+    Chebyshev series in x = cos(omega). The least such e is a minimum of the
+    root e(x), at x = -1, x = 1 or a common root of G and dG/dx, where their
+    resultant in e, (a1 c2 - a2 c1)^2 - (a1 b2 - a2 b1)(b1 c2 - b2 c1) with
+    a2, b2, c2 the x-derivatives, vanishes. A spurious candidate x still
+    gives points where the gain is reached, so it cannot lower the result.
+    h and r are scaled by one power of two and n1 by another, as in
+    :func:`level_radius`, so the squares stay finite and the result
+    scale-free."""
+    s = math.frexp(h)[1]
+    t = math.frexp(max(map(abs, unit.num)))[1]
+    hs, rs = math.ldexp(h, -s), math.ldexp(r, -s)
+    powers = rho ** np.arange(len(unit.den))
+    d1 = np.array(unit.den) * powers
+    n1 = np.zeros(d1.size)  # padded to d1's length, so the profiles align
+    n1[: len(unit.num)] = [math.ldexp(c, -t) for c in unit.num]
+    n1 *= powers
+    # the series of G in u = e 2^(s + t), the step size the scaled h and n1 see
+    a1 = (hs - rs) * (hs + rs) * cos_power_profile(n1)
+    b1 = -2.0 * hs * cross_profile(d1, n1)
+    c1 = cos_power_profile(d1)
+    a2, b2, c2 = (C.chebder(p) for p in (a1, b1, c1))
+    ac = C.chebsub(C.chebmul(a1, c2), C.chebmul(a2, c1))
+    ab = C.chebsub(C.chebmul(a1, b2), C.chebmul(a2, b1))
+    bc = C.chebsub(C.chebmul(b1, c2), C.chebmul(b2, c1))
+    xs = C.chebroots(C.chebsub(C.chebmul(ac, ac), C.chebmul(ab, bc)))
+    xs = np.concatenate(([-1.0, 1.0], np.clip(xs.real, -1.0, 1.0)))
+    a, b, c = (C.chebval(xs, p) for p in (a1, b1, c1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # both roots of a u^2 + b u + c without cancellation; a = 0 leaves the
+        # linear root -c/b as c/q. A complex pair gives NaN, filtered below
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        es = np.ldexp(np.concatenate((q / a, c / q)), -(s + t))
+    es = es[(es > lo) & (es <= hi)]
+    return float(es.min()) if es.size else math.inf
 
 
 def hinf_norm(k: RationalTF) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 import importlib
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -139,21 +140,22 @@ def test_best_rate_uncertifiable():
 def test_max_learning_rate_ogd_tightness():
     sector = SectorParams(mu=1e-3, L=3.0)
     got = max_learning_rate(MethodSpec("ogd", eta=1.0), sector)
-    assert 0.95 * (2 / 9) <= got <= 2 / 9
+    assert 2 / 9 * (1 - 2e-6) <= got <= 2 / 9
 
 
 def test_max_learning_rate_hgd_matches_ogd():
     sector = SectorParams(mu=1e-3, L=3.0)
     ogd = max_learning_rate(MethodSpec("ogd", eta=1.0), sector)
     hgd = max_learning_rate(MethodSpec("hgd", eta=1.0, a=(2.0, -1.0)), sector)
-    assert_allclose(hgd, ogd, atol=1e-5)
+    assert hgd == ogd  # the same K
 
 
 def test_max_learning_rate_gd_covers_the_tuned_point():
     got = max_learning_rate(MethodSpec("gd", eta=1.0), SECTOR)
     assert got >= 2 / 4.5
-    # classical stability boundary 2/L for the plain gradient step
-    assert_allclose(got, 2.0 / SECTOR.L, atol=1e-4)
+    # classical stability boundary 2/L for the plain gradient step; at
+    # RHO_PROBE it is (1 + RHO_PROBE) / L, 5e-7 relative below
+    assert 2.0 / SECTOR.L * (1 - 2e-6) <= got <= 2.0 / SECTOR.L
 
 
 def test_closed_form_regimes():
@@ -438,15 +440,25 @@ def test_best_rate_decides_stability_once_per_probe(monkeypatch):
 
 
 def test_max_learning_rate_probes_without_certify(monkeypatch):
+    ogd = MethodSpec("ogd", eta=1 / 12)
+    halvings = _halving_bracket(_step_probe(ogd, SECTOR), SECTOR)[2]
     certifies = _count_calls(monkeypatch, certify_mod, "certify")
     builds = _count_calls(monkeypatch, certify_mod, "build_transfer")
     scales = _count_calls(monkeypatch, certify_mod, "rho_scale")
     gains = _count_calls(monkeypatch, certify_mod, "hinf_norm")
-    assert max_learning_rate(MethodSpec("ogd", eta=1 / 12), SECTOR) is not None
+    assert max_learning_rate(ogd, SECTOR) is not None
     assert certifies == []
-    assert len(gains) > 20  # one hinf_norm per probe
+    # one hinf_norm per probe: the halving bracket, then at most the 7 rungs
+    assert halvings < len(gains) <= halvings + 7
     assert len(builds) == 1  # K = eta K1: K1 is built once per search
     assert len(scales) == len(gains)
+
+
+def test_max_learning_rate_returns_the_pp_cap_after_one_probe(monkeypatch):
+    # the implicit step certifies at every step size, so at the cap 4/mu
+    gains = _count_calls(monkeypatch, certify_mod, "hinf_norm")
+    assert max_learning_rate(MethodSpec("pp", eta=0.1), SECTOR, allow_improper=True) == 8.0
+    assert len(gains) == 1
 
 
 def test_max_learning_rate_rejects_an_improper_template_at_the_cap(monkeypatch):
@@ -546,6 +558,66 @@ def _bisected_rate(method, sector, allow):
 
 def _certifies(method, sector, rho, allow):
     return certify(CertificationQuery(method, sector, rho, allow)).certified
+
+
+def _step_probe(method, sector):
+    # max_learning_rate's probe of a step size: eta K1, shifted, at RHO_PROBE
+    unit = build_transfer(replace(method, eta=1.0))
+    h, threshold = (sector.mu + sector.L) / 2.0, gain_threshold(sector)
+
+    def certifiable(eta):
+        k = RationalTF(tuple(eta * c for c in unit.num), unit.den)
+        return _certified_at(complementary_sensitivity(k, h), RHO_PROBE, threshold)[0]
+
+    return certifiable
+
+
+def _halving_bracket(certifiable, sector):
+    # the cap 4/mu, then halvings: the first certified step (None if there is
+    # none), the uncertified step probed before it, and the number of probes
+    bad = eta = min(4.0 / sector.mu, sys.float_info.max)
+    for probes in range(1, 82):
+        if certifiable(eta):
+            return eta, bad, probes
+        bad, eta = eta, eta / 2.0
+    return None, bad, 81
+
+
+def _bisected_step(method, sector, allow):
+    # the search max_learning_rate ran before it solved for the step
+    if not (build_transfer(method).strictly_proper or allow):
+        return None
+    certifiable = _step_probe(method, sector)
+    eta, bad, _ = _halving_bracket(certifiable, sector)
+    return None if eta is None else _bisect(certifiable, eta, bad, 1e-6 / sector.L)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_max_learning_rate_lies_within_the_bisection_width_above_it(seed, family_corpus):
+    # the step certifies and lies in [bisected, bisected + 1e-6 / L]: the
+    # bisection ends below the exact step, the ladder's first rung just below it
+    stepped = set()
+    for delta in (0.0, 0.04, 0.1):
+        sector = SectorParams(mu=0.5, L=4.0, delta=delta)
+        for method, allow in family_corpus(seed):
+            if method.eta is None:
+                continue
+            step = max_learning_rate(method, sector, allow_improper=allow)
+            bisected = _bisected_step(method, sector, allow)
+            assert (step is None) == (bisected is None), (method, delta)
+            if step is None:
+                continue
+            stepped.add(method.family)
+            assert bisected <= step <= bisected + 1e-6 / sector.L, (method, delta, step, bisected)
+            assert _certifies(replace(method, eta=step), sector, RHO_PROBE, allow), (method, step)
+    assert stepped == {"gd", "ogd", "pp", "hgd", "general", "pegd", "rgd"}
+
+
+def test_bisect_stops_where_the_floats_run_out():
+    # near 1e307 adjacent floats lie ~2e291 apart, far above the width: the
+    # midpoint rounds to an end of the bracket, which then stops halving
+    good = _bisect(lambda m: m <= 1.1e307, 1e307, 1.2e307, 1e-7)
+    assert good <= 1.1e307 < np.nextafter(good, np.inf)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

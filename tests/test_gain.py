@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -7,7 +8,7 @@ import pytest
 from numpy.polynomial import chebyshev as C
 from numpy.testing import assert_allclose
 
-from freqcert.gain import cos_power_profile, hinf_norm
+from freqcert.gain import cos_power_profile, cross_profile, hinf_norm, step_margin
 from freqcert.stability import spectral_radius_poly
 from freqcert.transfer import (
     MethodSpec,
@@ -173,6 +174,64 @@ def test_cos_power_profile_matches_the_double_loop():
             want = _double_loop_profile(c)
             assert got.shape == want.shape
             assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_cross_profile_of_a_sequence_with_itself_is_its_power_profile():
+    # bit for bit, and bit for bit the autocorrelation doubled at lags >= 1
+    # that cos_power_profile computed before cross_profile existed
+    rng = np.random.default_rng(4)
+    for n in range(1, 13):
+        for _ in range(50):
+            c = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 5, size=n)
+            doubled = np.correlate(c, c, "full")[n - 1:]
+            doubled[1:] *= 2.0
+            got = cross_profile(c, c)
+            assert got.tobytes() == cos_power_profile(c).tobytes() == doubled.tobytes()
+
+
+def test_cross_profile_matches_dense_samples():
+    rng = np.random.default_rng(5)
+    omegas = np.linspace(0.0, np.pi, 2001)
+    z = np.exp(1j * omegas)
+    for n in range(1, 11):
+        for _ in range(20):
+            a, b = rng.normal(size=(2, n)) * 10.0 ** rng.uniform(-3, 3, size=(2, 1))
+            want = (np.polyval(a[::-1], z) * np.conj(np.polyval(b[::-1], z))).real
+            got = C.chebval(np.cos(omegas), cross_profile(a, b))
+            scale = np.sum(np.abs(a)) * np.sum(np.abs(b))
+            assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_step_margin_reads_the_gd_step_limits():
+    # gd's unit loop is -1/(z - 1): on |z| = rho, d1/(e n1) = (1 - z)/e is the
+    # circle of centre 1/e and radius rho/e, which first meets the disk of
+    # centre h and radius r on the real axis, where (1 -+ rho)/e = h +- r.
+    # The first touch above a step that certifies is the least of these
+    # above it; h = r leaves a linear equation, h < r a downward parabola
+    gd = build_transfer(MethodSpec("gd", eta=1.0))
+    # rho = 0.9, h = 2.25, r = 1.75: touches at 0.025, 0.2, 0.475 and 3.8
+    assert_allclose(step_margin(gd, 0.9, 2.25, 1.75, 0.0, 10.0), 0.025, rtol=1e-12)
+    assert_allclose(step_margin(gd, 0.9, 2.25, 1.75, 0.3, 10.0), 0.475, rtol=1e-12)
+    assert step_margin(gd, 0.9, 2.25, 1.75, 0.3, 0.4) == math.inf
+    assert step_margin(gd, 0.9, 2.25, 1.75, 4.0, 10.0) == math.inf
+    rho = 1.0 - 1e-6
+    assert_allclose(step_margin(gd, rho, 2.25, 1.75, 1e-3, 10.0), (1.0 + rho) / 4.0, rtol=1e-14)
+    for h, r in ((2.0, 2.0), (1.0, 3.0)):
+        assert_allclose(step_margin(gd, 0.9, h, r, 0.0, 10.0), 0.025, rtol=1e-12)
+        assert_allclose(step_margin(gd, 0.9, h, r, 0.1, 10.0), 0.475, rtol=1e-12)
+
+
+def test_step_margin_is_scale_free():
+    # h and r times a power of two c, the bracket divided by it: the step
+    # divides by c bit for bit
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        unit = build_transfer(MethodSpec("hgd", eta=1.0, a=tuple(rng.dirichlet(np.ones(3)))))
+        base = step_margin(unit, 1.0 - 1e-6, 2.25, 1.75, 1e-3, 10.0)
+        assert 1e-3 < base < 10.0
+        for k in (-1000, 1000, int(rng.integers(-1000, 1001))):
+            c = 2.0**k
+            assert step_margin(unit, 1.0 - 1e-6, 2.25 * c, 1.75 * c, 1e-3 / c, 10.0 / c) * c == base
 
 
 def _narrow_resonance():
