@@ -8,7 +8,6 @@ supremum gain below 1 / ((L - mu)/2 + L delta). The noiseless threshold is
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -193,16 +192,18 @@ def max_learning_rate(
 
     The step size scales every numerator coefficient of K and no denominator
     coefficient: K = eta K1. So K1 is built once and decides properness,
-    and each probe scales its numerator. Probes at the cap and then at its
-    halvings find a certified eta0 below an uncertified step. Raising the
-    step from eta0, the probe first fails where the scaled loop's gain
-    reaches the threshold on the circle: a root of the loop leaving the
-    circle would pass through a point of infinite gain. That step,
-    e* = :func:`~freqcert.gain.step_margin`, is the circle criterion's gain
-    margin. The search then probes the ladder e* (1 - 1e-12 8^k), k = 0 .. 6,
-    above eta0, and returns the first step that certifies, so the returned
-    step has passed a probe. Should no rung certify, :func:`_bisect`
-    brackets the step between eta0 and the last rung."""
+    and each probe scales its numerator. The verdict changes only at a step
+    where the curve d1/(eta n1) of K1 = n1/d1 touches the disk outside which
+    the loop certifies; a root of the loop crossing the circle puts the
+    curve at h, inside it. Those steps, :func:`~freqcert.gain.step_margin`,
+    split (0, cap] into gaps certified throughout or nowhere: at a spurious
+    one the gain equals the threshold, so it lies in no certified interval.
+    After the cap, the search probes each gap's middle from the top down,
+    then the ladder e* (1 - 1e-12 8^k), k = 0 .. 6, above that middle, from
+    the upper edge e* of the first gap that certifies. It returns the first
+    step that certifies, so the returned step has passed a probe. Should no
+    rung certify, :func:`_bisect` brackets the step between the middle and
+    the last rung."""
     if method.eta is None:
         raise ValueError("method family must carry a learning-rate field")
     unit = build_transfer(replace(method, eta=1.0))
@@ -215,20 +216,19 @@ def max_learning_rate(
         k = RationalTF(tuple(eta * c for c in unit.num), unit.den)
         return _certified_at(complementary_sensitivity(k, h), RHO_PROBE, threshold)[0]
 
-    bad = eta = min(4.0 / sector.mu, sys.float_info.max)
-    for _ in range(81):  # the cap, then 80 halvings
+    cap = min(4.0 / sector.mu, sys.float_info.max)
+    if certifiable(cap):
+        return cap
+    touches = step_margin(unit, RHO_PROBE, h, 1.0 / threshold)
+    edges = [0.0, *(e for e in touches if e < cap), cap]
+    for lo, bad in reversed(list(zip(edges, edges[1:]))):
+        eta = lo + 0.5 * (bad - lo)  # lo + bad may overflow
         if certifiable(eta):
             break
-        bad = eta
-        eta /= 2.0
     else:
         return None
-    if eta == bad:  # the cap certifies
-        return eta
-    top = step_margin(unit, RHO_PROBE, h, 1.0 / threshold, eta, bad)
     # relative offsets 1e-12 8^i, i < 7, as in best_rate's ladder
-    ladder = [top * (1.0 - 1e-12 * 8.0**i) for i in range(7)] if top < math.inf else []
-    for rung in ladder:
+    for rung in [bad * (1.0 - 1e-12 * 8.0**i) for i in range(7)]:
         if rung <= eta:
             break
         if certifiable(rung):

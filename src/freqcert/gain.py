@@ -79,22 +79,21 @@ def level_radius(k: RationalTF, gamma: float) -> float:
             return float(r)
 
 
-def step_margin(unit: RationalTF, rho: float, h: float, r: float, lo: float, hi: float) -> float:
-    """Least step size e in (lo, hi] at which the loop e * unit, shifted by h
-    and scaled by rho, reaches the gain 1/r on |z| = rho, given that the
-    loop at step ``lo`` stays below that gain; inf when none does.
+def step_margin(unit: RationalTF, rho: float, h: float, r: float) -> list[float]:
+    """Every step size e > 0, sorted, at which the loop e * unit, shifted by
+    h and scaled by rho, may start or stop reaching the gain 1/r on |z| = rho.
 
     With unit = n1/d1, that gain is reached where d1(z) / (e n1(z)) meets the
     disk of centre h and radius r: where G(x, e) = a1 e^2 + b1 e + c1 = 0,
     with a1 = (h^2 - r^2) |n1|^2, b1 = -2h Re(d1 conj(n1)) and c1 = |d1|^2 as
-    Chebyshev series in x = cos(omega). The least such e is a minimum of the
-    root e(x), at x = -1, x = 1 or a common root of G and dG/dx, where their
-    resultant in e, (a1 c2 - a2 c1)^2 - (a1 b2 - a2 b1)(b1 c2 - b2 c1) with
-    a2, b2, c2 the x-derivatives, vanishes. A spurious candidate x still
-    gives points where the gain is reached, so it cannot lower the result.
-    h and r are scaled by one power of two and n1 by another, as in
-    :func:`level_radius`, so the squares stay finite and the result
-    scale-free."""
+    Chebyshev series in x = cos(omega). Those x change only at an extremum
+    of a root e(x): at x = -1, x = 1 or a common root of G and dG/dx, where
+    their resultant in e, (a1 c2 - a2 c1)^2 - (a1 b2 - a2 b1)(b1 c2 - b2 c1)
+    with a2, b2, c2 the x-derivatives, vanishes. Both roots e at every
+    candidate x are returned; at a spurious one the gain is still reached at
+    that frequency. h and r are scaled by one power of two and n1 by
+    another, as in :func:`level_radius`, so the squares stay finite and the
+    result scale-free."""
     s = math.frexp(h)[1]
     t = math.frexp(max(map(abs, unit.num)))[1]
     hs, rs = math.ldexp(h, -s), math.ldexp(r, -s)
@@ -116,11 +115,11 @@ def step_margin(unit: RationalTF, rho: float, h: float, r: float, lo: float, hi:
     a, b, c = (C.chebval(xs, p) for p in (a1, b1, c1))
     with np.errstate(divide="ignore", invalid="ignore"):
         # both roots of a u^2 + b u + c without cancellation; a = 0 leaves the
-        # linear root -c/b as c/q. A complex pair gives NaN, filtered below
+        # linear root -c/b as c/q and q/a infinite. A complex pair gives NaN
         q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
         es = np.ldexp(np.concatenate((q / a, c / q)), -(s + t))
-    es = es[(es > lo) & (es <= hi)]
-    return float(es.min()) if es.size else math.inf
+    # Python floats, so that a caller's e * c overflows to inf without a warning
+    return np.unique(es[np.isfinite(es) & (es > 0)]).tolist()
 
 
 def hinf_norm(k: RationalTF) -> tuple[float, float]:

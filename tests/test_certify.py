@@ -21,7 +21,7 @@ from freqcert.certify import (
     _certified_at,
     _shifted_loop,
 )
-from freqcert.gain import hinf_norm, level_radius
+from freqcert.gain import hinf_norm, level_radius, step_margin
 from freqcert.operators import SectorParams
 from freqcert.stability import (
     MARGINAL_ROOT_BAND,
@@ -441,17 +441,60 @@ def test_best_rate_decides_stability_once_per_probe(monkeypatch):
 
 def test_max_learning_rate_probes_without_certify(monkeypatch):
     ogd = MethodSpec("ogd", eta=1 / 12)
-    halvings = _halving_bracket(_step_probe(ogd, SECTOR), SECTOR)[2]
+    edges = _gap_edges(ogd, SECTOR)
     certifies = _count_calls(monkeypatch, certify_mod, "certify")
     builds = _count_calls(monkeypatch, certify_mod, "build_transfer")
     scales = _count_calls(monkeypatch, certify_mod, "rho_scale")
     gains = _count_calls(monkeypatch, certify_mod, "hinf_norm")
-    assert max_learning_rate(ogd, SECTOR) is not None
+    step = max_learning_rate(ogd, SECTOR)
+    assert step is not None
     assert certifies == []
-    # one hinf_norm per probe: the halving bracket, then at most the 7 rungs
-    assert halvings < len(gains) <= halvings + 7
+    # one hinf_norm per probe: the cap, the middle of each gap from the top
+    # down to the step's own, then at least one and at most 7 rungs
+    probed = sum(top > step for top in edges[1:])
+    assert 1 + probed < len(gains) <= 1 + probed + 7
     assert len(builds) == 1  # K = eta K1: K1 is built once per search
     assert len(scales) == len(gains)
+
+
+@pytest.mark.parametrize(
+    "method, sector",
+    [
+        (MethodSpec("gd", eta=1.0), SectorParams(1e-9, 1.0)),
+        (MethodSpec("ogd", eta=1.0), SectorParams(1e-9, 1.0)),
+        (MethodSpec("hgd", eta=0.2, a=(1.0, -1.0)), SECTOR),
+    ],
+)
+def test_max_learning_rate_gives_up_after_one_probe_per_gap(method, sector, monkeypatch):
+    # nothing certifies: the search probes the cap and the middle of each gap
+    # between the touches below it, (touches below the cap) + 2 probes
+    edges = _gap_edges(method, sector)
+    scales = _count_calls(monkeypatch, certify_mod, "rho_scale")
+    assert max_learning_rate(method, sector) is None
+    assert len(scales) == len(edges) <= 8
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.04])
+def test_max_learning_rate_is_the_largest_certified_step(delta, family_corpus):
+    # no step certifies above the returned one: not the cap, and not at a
+    # quarter, the middle or three quarters of any gap above it
+    sector = SectorParams(mu=0.5, L=4.0, delta=delta)
+    checked = 0
+    for method, allow in family_corpus(1):
+        if method.eta is None:
+            continue
+        step = max_learning_rate(method, sector, allow_improper=allow)
+        certifiable = _step_probe(method, sector)
+        edges = _gap_edges(method, sector)
+        if step != edges[-1]:
+            assert not certifiable(edges[-1]), (method, step)
+        for lo, top in zip(edges, edges[1:]):
+            if step is not None and lo < step:
+                continue
+            for frac in (0.25, 0.5, 0.75):
+                assert not certifiable(lo + frac * (top - lo)), (method, step, lo, top)
+                checked += 1
+    assert checked > 50
 
 
 def test_max_learning_rate_returns_the_pp_cap_after_one_probe(monkeypatch):
@@ -570,6 +613,15 @@ def _step_probe(method, sector):
         return _certified_at(complementary_sensitivity(k, h), RHO_PROBE, threshold)[0]
 
     return certifiable
+
+
+def _gap_edges(method, sector):
+    # 0, the touches step_margin finds below the cap 4/mu, and the cap: the
+    # edges of the gaps max_learning_rate probes
+    cap = min(4.0 / sector.mu, sys.float_info.max)
+    unit = build_transfer(replace(method, eta=1.0))
+    h, r = (sector.mu + sector.L) / 2.0, 1.0 / gain_threshold(sector)
+    return [0.0, *(e for e in step_margin(unit, RHO_PROBE, h, r) if e < cap), cap]
 
 
 def _halving_bracket(certifiable, sector):

@@ -204,34 +204,31 @@ def test_cross_profile_matches_dense_samples():
 
 def test_step_margin_reads_the_gd_step_limits():
     # gd's unit loop is -1/(z - 1): on |z| = rho, d1/(e n1) = (1 - z)/e is the
-    # circle of centre 1/e and radius rho/e, which first meets the disk of
-    # centre h and radius r on the real axis, where (1 -+ rho)/e = h +- r.
-    # The first touch above a step that certifies is the least of these
-    # above it; h = r leaves a linear equation, h < r a downward parabola
+    # circle of centre 1/e and radius rho/e, which touches the disk of centre
+    # h and radius r on the real axis, where (1 -+ rho)/e = h +- r. h = r
+    # leaves a linear equation and no touch at h - r; h < r puts it at a
+    # negative step
     gd = build_transfer(MethodSpec("gd", eta=1.0))
-    # rho = 0.9, h = 2.25, r = 1.75: touches at 0.025, 0.2, 0.475 and 3.8
-    assert_allclose(step_margin(gd, 0.9, 2.25, 1.75, 0.0, 10.0), 0.025, rtol=1e-12)
-    assert_allclose(step_margin(gd, 0.9, 2.25, 1.75, 0.3, 10.0), 0.475, rtol=1e-12)
-    assert step_margin(gd, 0.9, 2.25, 1.75, 0.3, 0.4) == math.inf
-    assert step_margin(gd, 0.9, 2.25, 1.75, 4.0, 10.0) == math.inf
-    rho = 1.0 - 1e-6
-    assert_allclose(step_margin(gd, rho, 2.25, 1.75, 1e-3, 10.0), (1.0 + rho) / 4.0, rtol=1e-14)
+    assert_allclose(step_margin(gd, 0.9, 2.25, 1.75), [0.025, 0.2, 0.475, 3.8], rtol=1e-12)
     for h, r in ((2.0, 2.0), (1.0, 3.0)):
-        assert_allclose(step_margin(gd, 0.9, h, r, 0.0, 10.0), 0.025, rtol=1e-12)
-        assert_allclose(step_margin(gd, 0.9, h, r, 0.1, 10.0), 0.475, rtol=1e-12)
+        assert_allclose(step_margin(gd, 0.9, h, r), [0.025, 0.475], rtol=1e-12)
+    rho = 1.0 - 1e-6
+    touches = step_margin(gd, rho, 2.25, 1.75)
+    assert len(touches) == 4
+    assert_allclose(touches[2:], [(1.0 + rho) / 4.0, (1.0 + rho) / 0.5], rtol=1e-14)
 
 
 def test_step_margin_is_scale_free():
-    # h and r times a power of two c, the bracket divided by it: the step
-    # divides by c bit for bit
+    # h and r times a power of two c: every step divides by c bit for bit
     rng = np.random.default_rng(6)
     for _ in range(20):
         unit = build_transfer(MethodSpec("hgd", eta=1.0, a=tuple(rng.dirichlet(np.ones(3)))))
-        base = step_margin(unit, 1.0 - 1e-6, 2.25, 1.75, 1e-3, 10.0)
-        assert 1e-3 < base < 10.0
+        base = step_margin(unit, 1.0 - 1e-6, 2.25, 1.75)
+        assert base == sorted(base) and base[0] > 0.0
+        assert any(1e-3 < e < 10.0 for e in base)
         for k in (-1000, 1000, int(rng.integers(-1000, 1001))):
             c = 2.0**k
-            assert step_margin(unit, 1.0 - 1e-6, 2.25 * c, 1.75 * c, 1e-3 / c, 10.0 / c) * c == base
+            assert [e * c for e in step_margin(unit, 1.0 - 1e-6, 2.25 * c, 1.75 * c)] == base
 
 
 def _narrow_resonance():
