@@ -112,7 +112,13 @@ def step_margin(unit: RationalTF, rho: float, h: float, r: float) -> list[float]
     bc = C.chebsub(C.chebmul(b1, c2), C.chebmul(b2, c1))
     xs = C.chebroots(C.chebsub(C.chebmul(ac, ac), C.chebmul(ab, bc)))
     xs = np.concatenate(([-1.0, 1.0], np.clip(xs.real, -1.0, 1.0)))
-    a, b, c = (C.chebval(xs, p) for p in (a1, b1, c1))
+    # a, b and c by Horner at z = e^(j arccos x), as in hinf_norm: the squared
+    # series' Chebyshev sums cancel where |d1| is small
+    z = np.exp(1j * np.arccos(xs))
+    n, d = horner(n1, z), horner(d1, z)
+    a = (hs - rs) * (hs + rs) * abs(n) ** 2
+    b = -2.0 * hs * (d * n.conj()).real
+    c = abs(d) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         # both roots of a u^2 + b u + c without cancellation; a = 0 leaves the
         # linear root -c/b as c/q and q/a infinite. A complex pair gives NaN
