@@ -5,6 +5,7 @@ only in a benchmark run."""
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy
 
@@ -14,7 +15,8 @@ from freqcert.gain import hinf_norm
 from freqcert.operators import SectorParams, diagonal_quadratic
 from freqcert.transfer import MethodSpec, rho_scale
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(stem):
@@ -75,3 +77,34 @@ def test_workloads_build_and_one_op_of_each_kind_passes_its_check(tmp_path):
     assert sorted(first) == ["best_rate", "game", "max_learning_rate", "run", "sweep"]
     for op in first.values():
         assert op.check(op.call()) is None, op.label
+
+
+def test_op_outputs_prints_every_op_and_exits_1_on_a_failed_check(monkeypatch, capsys):
+    # op_outputs pins BLAS threads and puts src/ and perfbench/ on the path
+    # as it loads; both are restored after the test
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = ROOT / "tools" / "op_outputs.py"
+    spec = importlib.util.spec_from_file_location("freqcert_op_outputs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def op(label, out):
+        check = lambda got: None if got == 1.0 else "off"
+        return SimpleNamespace(label=label, call=lambda: out, check=check)
+
+    monkeypatch.setattr(tool, "SEEDS", (1,))
+    ops = {"rate_search": [op("a", 1.0)], "step_sweep": [op("b", 1.0)], "simulate": [op("c", 1.0)]}
+    built = {name: lambda seed, workdir, name=name: ops[name] for name in ops}
+    monkeypatch.setattr(tool.workloads, "WORKLOADS", built)
+    assert tool.main() == 0
+    ops["step_sweep"] = [op("b", 0.5), op("d", 1.0)]
+    assert tool.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-4:] == [
+        "rate_search 1 0 a | 0x1.0000000000000p+0 | ok",
+        "step_sweep 1 0 b | 0x1.0000000000000p-1 | off",
+        "step_sweep 1 1 d | 0x1.0000000000000p+0 | ok",
+        "simulate 1 0 c | 0x1.0000000000000p+0 | ok",
+    ]

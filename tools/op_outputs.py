@@ -10,7 +10,8 @@ the checkout it sits in, builds rate_search, step_sweep and simulate for
 seeds 1 and 2, calls every op once and prints the workload, seed, op index
 and label, the output with every float as ``float.hex``, and the op's check
 verdict. When the files of two checkouts compare equal (``cmp``), both
-compute the same numbers, bit for bit, on every benchmark input.
+compute the same numbers, bit for bit, on every benchmark input. It exits
+with status 1, after printing every line, when any op fails its check.
 """
 
 import os
@@ -39,7 +40,9 @@ def exact(value) -> str:
     return repr(value)
 
 
-def main() -> None:
+def main() -> int:
+    """Print every op's line; return 1 when any op fails its check, else 0."""
+    failed = False
     with tempfile.TemporaryDirectory() as workdir:
         for name in ("rate_search", "step_sweep", "simulate"):
             for seed in SEEDS:
@@ -48,9 +51,11 @@ def main() -> None:
                         out = op.call()
                     except Exception as exc:  # reported like the benchmark does
                         out = f"raised {type(exc).__name__}: {exc}"
-                    verdict = op.check(out) or "ok"
-                    print(f"{name} {seed} {index} {op.label} | {exact(out)} | {verdict}")
+                    verdict = op.check(out)
+                    failed |= verdict is not None
+                    print(f"{name} {seed} {index} {op.label} | {exact(out)} | {verdict or 'ok'}")
+    return int(failed)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
