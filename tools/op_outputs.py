@@ -52,7 +52,7 @@ def main() -> int:
                     except Exception as exc:  # reported like the benchmark does
                         out = f"raised {type(exc).__name__}: {exc}"
                     verdict = op.check(out)
-                    failed |= verdict is not None
+                    failed |= bool(verdict)
                     print(f"{name} {seed} {index} {op.label} | {exact(out)} | {verdict or 'ok'}")
     return int(failed)
 
