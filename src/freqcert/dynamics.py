@@ -115,7 +115,7 @@ def _implicit_stepper(op, adv, counter, coeff, keep_obs):
         sec = derived_sector(op)
         tau = 2.0 / (2.0 + abs(coeff) * (sec.mu + sec.L))
     else:
-        fp = np.asarray(op.fixed_point)
+        fp = op.fixed_array
         noisy_map = M if random else apply_noise(adv, M, 0)
         inv = np.linalg.inv(np.eye(op.dimension) + coeff * noisy_map)
         gain = M @ inv  # M R^-1
@@ -201,7 +201,7 @@ def run(
     x0 = np.array(x0, dtype=float)  # the trajectory's own copy
     if x0.shape != (op.dimension,):
         raise ValueError("x0 dimension mismatch")
-    fp = np.asarray(op.fixed_point)
+    fp = op.fixed_array
     counter = itertools.count()
 
     def observe(x):

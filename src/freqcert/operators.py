@@ -109,11 +109,16 @@ class OperatorSpec:
     mu: float | None = None
     # F(x) = linear_map (x - fixed_point), read-only; None for scalar-noncvx
     linear_map: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # fixed_point as a read-only float array, built once here for eval_operator
+    fixed_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _kind(self.kind)
         if self.linear_map is not None:
             self.linear_map.flags.writeable = False
+        fixed_array = np.array(self.fixed_point, dtype=float)
+        fixed_array.flags.writeable = False
+        object.__setattr__(self, "fixed_array", fixed_array)
 
     @property
     def dimension(self) -> int:
@@ -256,4 +261,4 @@ def eval_operator(op: OperatorSpec, x) -> np.ndarray:
         n = op.dimension // 2
         A = M[:n, n:]
         return np.concatenate([A @ x[n:], -A.T @ x[:n]])
-    return M @ (x - np.asarray(op.fixed_point))
+    return M @ (x - op.fixed_array)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -297,6 +298,41 @@ def test_linear_map_is_read_only():
     with pytest.raises(ValueError, match="read-only"):
         op.linear_map[0, 0] = 1.0
     assert scalar_noncvx().linear_map is None
+
+
+def test_fixed_array_is_a_read_only_copy_outside_the_spec_identity():
+    op = diagonal_quadratic([1.0, 2.0, 3.0], fixed_point=[0.5, -1.0, 2.0])
+    assert op.fixed_array.dtype == float and op.fixed_array.tolist() == [0.5, -1.0, 2.0]
+    with pytest.raises(ValueError, match="read-only"):
+        op.fixed_array[0] = 0.0
+    twin = diagonal_quadratic([1.0, 2.0, 3.0], fixed_point=[0.5, -1.0, 2.0])
+    assert twin == op and hash(twin) == hash(op) and twin.fixed_array is not op.fixed_array
+    assert repr(op) == (
+        "OperatorSpec(kind='diagonal-quadratic', fixed_point=(0.5, -1.0, 2.0), "
+        "spectrum=(1.0, 2.0, 3.0), matrix=None, jacobian=None, mu=None)"
+    )
+    moved = dataclasses.replace(op, fixed_point=(1.0, 1.0, 1.0))
+    assert moved != op and moved.fixed_array.tolist() == [1.0, 1.0, 1.0]
+    assert not moved.fixed_array.flags.writeable
+    assert_allclose(eval_operator(moved, [1.0, 2.0, 4.0]), [0.0, 2.0, 9.0], rtol=0)
+    assert scalar_noncvx().fixed_array.tolist() == [0.0]
+
+
+def test_eval_operator_is_the_map_around_the_fixed_point_bit_for_bit():
+    rng = np.random.default_rng(21)
+    ops = []
+    for n in (1, 3, 50):
+        spectrum = rng.uniform(0.5, 4.0, size=n)
+        ops.append(diagonal_quadratic(spectrum, fixed_point=rng.normal(size=n)))
+    for n, m in ((1, 1), (2, 3), (4, 4)):
+        P = np.eye(n) * 2.0 + 0.1 * rng.normal(size=(n, n))
+        Q = np.eye(m) * 2.0 + 0.1 * rng.normal(size=(m, m))
+        ops.append(build_minmax_operator(P, Q, rng.normal(size=(n, m)), mu=1.0))
+    for op in ops:
+        for _ in range(20):
+            x = rng.normal(scale=10.0, size=op.dimension)
+            expected = op.linear_map @ (x - np.asarray(op.fixed_point))
+            assert np.array_equal(eval_operator(op, x), expected), op.kind
 
 
 def test_check_sector_requires_samples():
