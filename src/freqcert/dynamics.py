@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 import numbers
@@ -28,8 +29,13 @@ class NoiseAdversary:
     scale_up/scale_down stretch the observed value by (1 +- delta); rotate
     adds delta J F, J the quarter turn (v0, v1) -> (-v1, v0) on each
     coordinate pair (odd dimension leaves the last one), orthogonal to F and
-    of norm exactly delta ||F|| in even dimension; random picks a seeded
-    uniform direction of norm delta ||F||.
+    of norm exactly delta ||F|| in even dimension; random adds delta ||F||
+    times a seeded uniform unit direction. Direction k of length n is row
+    k % R of chunk k // R, R = min(256, max(1, 2**16 // n)); chunk j is
+    default_rng((seed, j)).standard_normal((R, n)), each row scaled to unit
+    norm. It depends only on (seed, k, n). Earlier versions drew each
+    direction from default_rng((seed, k)), so random trajectories differ
+    from theirs; the other strategies' are unchanged.
     """
 
     strategy: str
@@ -69,19 +75,45 @@ def apply_noise(adv: NoiseAdversary, value, k: int) -> np.ndarray:
 
 def _random_noise(adv: NoiseAdversary, value: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``value`` observed under random noise along the unit direction ``u``."""
-    norm = float(np.linalg.norm(value))
+    norm = math.sqrt(value.dot(value))  # np.linalg.norm, minus its overhead
     if norm == 0.0:
         return value
     return value + adv.delta * norm * u
 
 
+def _chunk_rows(size: int) -> int:
+    """Directions per chunk: at most 256, and at most 2**16 floats unless one
+    direction alone is longer."""
+    return min(256, max(1, 2**16 // size))
+
+
 def _random_direction(adv: NoiseAdversary, k: int, size: int) -> np.ndarray:
-    """The seeded uniform unit direction of random noise at index ``k``."""
-    rng = np.random.default_rng((adv.seed, k))
-    g = rng.standard_normal(size)
-    while float(np.linalg.norm(g)) == 0.0:
-        g = rng.standard_normal(size)
-    return g / np.linalg.norm(g)
+    """The seeded uniform unit direction of random noise at index ``k``: row
+    k % R of chunk k // R, R = ``_chunk_rows(size)``. It depends only on
+    (seed, k, size)."""
+    rows = _chunk_rows(size)
+    return _direction_chunk(adv.seed, k // rows, size)[k % rows]
+
+
+@functools.lru_cache(maxsize=8)
+def _direction_chunk(seed: int, j: int, size: int) -> np.ndarray:
+    """Chunk ``j`` of the random directions of ``size`` under ``seed``, read-only:
+    ``_chunk_rows(size)`` standard normal rows from generator (seed, j), each
+    scaled to unit norm; a zero row is redrawn from the same generator.
+
+    A chunk holds at most max(2**16, size) floats, so the cache's 8 chunks
+    hold at most 8 max(2**16, size) floats: 4 MiB up to size 2**16.
+    """
+    rng = np.random.default_rng((seed, j))
+    g = rng.standard_normal((_chunk_rows(size), size))
+    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+    for i in np.flatnonzero(norms == 0.0):
+        while norms[i] == 0.0:
+            g[i] = rng.standard_normal(size)
+            norms[i] = math.sqrt(g[i].dot(g[i]))
+    g /= norms[:, None]
+    g.flags.writeable = False
+    return g
 
 
 @dataclass

@@ -617,6 +617,89 @@ def test_random_noise_draws_each_direction_once(monkeypatch):
         assert draws == list(range(at_x0 + steps)), (m.family, op.kind)
 
 
+@pytest.fixture
+def dynamics_module():
+    # the direction cache is module state: start and leave it empty
+    dynamics = importlib.import_module("freqcert.dynamics")
+    dynamics._direction_chunk.cache_clear()
+    yield dynamics
+    dynamics._direction_chunk.cache_clear()
+
+
+def test_random_directions_repeat_in_any_call_order(dynamics_module):
+    draw = dynamics_module._random_direction
+    adv = NoiseAdversary("random", 0.1, seed=4)
+    ks = (0, 255, 256, 257, 10_000)  # chunk edges for size 50, 256 rows a chunk
+    first = {k: draw(adv, k, 50).copy() for k in ks}
+    for order in (ks[::-1], (256, 0, 10_000, 257, 255)):
+        dynamics_module._direction_chunk.cache_clear()
+        for k in order:
+            assert np.array_equal(draw(adv, k, 50), first[k]), (order, k)
+    for k, u in first.items():
+        assert abs(np.linalg.norm(u) - 1.0) <= 1e-15, k
+    distinct = [u.tobytes() for u in first.values()]
+    distinct.append(draw(NoiseAdversary("random", 0.1, seed=5), 0, 50).tobytes())
+    assert len(set(distinct)) == len(distinct)
+    for k in ks:  # another size: not the same numbers, even on the shared prefix
+        assert not np.array_equal(draw(adv, k, 51)[:50], first[k]), k
+
+
+def test_random_directions_are_uniform_on_the_sphere(dynamics_module):
+    # a chunk normalized as a whole, or one row drawn for every index,
+    # fails the moments of a uniform unit vector: mean 0, E u_i^2 = 1/size
+    adv = NoiseAdversary("random", 0.1, seed=17)
+    us = np.array([dynamics_module._random_direction(adv, k, 5) for k in range(4096)])
+    assert np.abs(np.linalg.norm(us, axis=1) - 1.0).max() <= 1e-15
+    assert np.abs(us.mean(axis=0)).max() <= 0.05
+    assert np.abs((us**2).mean(axis=0) - 0.2).max() <= 0.02
+
+
+def test_a_zero_row_is_redrawn_not_divided(dynamics_module, monkeypatch):
+    size = 4
+    real = dynamics_module._direction_chunk(3, 0, size).copy()
+    dynamics_module._direction_chunk.cache_clear()
+    redraws = []
+
+    class ZeroRow:
+        # the chunk's row 2 comes out zero, and so does its first redraw
+        def __init__(self, seed):
+            self.rng = np.random.Generator(np.random.PCG64(seed))
+
+        def standard_normal(self, shape):
+            g = self.rng.standard_normal(shape)
+            if np.ndim(g) == 2:
+                g[2] = 0.0
+            else:
+                redraws.append(g.copy())
+                if len(redraws) == 1:
+                    g[:] = 0.0
+            return g
+
+    monkeypatch.setattr(dynamics_module.np.random, "default_rng", ZeroRow)
+    adv = NoiseAdversary("random", 0.5, seed=3)
+    rows = [dynamics_module._random_direction(adv, k, size) for k in range(5)]
+    assert len(redraws) == 2
+    assert np.isfinite(rows[2]).all() and abs(np.linalg.norm(rows[2]) - 1.0) <= 1e-15
+    assert_allclose(rows[2], redraws[1] / np.linalg.norm(redraws[1]), rtol=1e-15)
+    for k in (0, 1, 3, 4):
+        assert np.array_equal(rows[k], real[k]), k
+    observed = apply_noise(adv, np.array([0.0, 0.0, 3.0, 4.0]), 2)
+    assert np.isfinite(observed).all()
+    assert_allclose(np.linalg.norm(observed - [0.0, 0.0, 3.0, 4.0]), 2.5, rtol=1e-15)
+
+
+@pytest.mark.parametrize("size", [1, 50, 2**16, 2**17])
+def test_a_direction_chunk_holds_at_most_max_2_16_size_floats(dynamics_module, size):
+    chunk = dynamics_module._direction_chunk(0, 0, size)
+    assert chunk.shape == (dynamics_module._chunk_rows(size), size)
+    assert chunk.size <= max(2**16, size)
+    assert not chunk.flags.writeable
+    u = dynamics_module._random_direction(NoiseAdversary("random", 0.1), chunk.shape[0], size)
+    assert abs(np.linalg.norm(u) - 1.0) <= 1e-15  # the first row of the next chunk
+    assert dynamics_module._direction_chunk.cache_info().currsize == 2
+    assert dynamics_module._direction_chunk.cache_info().maxsize == 8
+
+
 def test_damped_implicit_step_solves_the_observed_equation():
     # scalar-noncvx takes the damped iteration; each pp step must satisfy
     # x_(k+1) = x_k - eta F_obs(x_(k+1)) with the observation at index k
