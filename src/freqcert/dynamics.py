@@ -70,15 +70,9 @@ def apply_noise(adv: NoiseAdversary, value, k: int) -> np.ndarray:
         out[0:m:2] -= adv.delta * value[1:m:2]
         out[1:m:2] += adv.delta * value[0:m:2]
         return out
-    return _random_noise(adv, value, _random_direction(adv, k, value.size))
-
-
-def _random_noise(adv: NoiseAdversary, value: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``value`` observed under random noise along the unit direction ``u``."""
+    u = _random_direction(adv, k, value.size)
     norm = math.sqrt(value.dot(value))  # np.linalg.norm, minus its overhead
-    if norm == 0.0:
-        return value
-    return value + adv.delta * norm * u
+    return value if norm == 0.0 else value + adv.delta * norm * u
 
 
 def _chunk_rows(size: int) -> int:
@@ -127,8 +121,8 @@ class Trajectory:
 
 def _implicit_stepper(op, adv, counter, coeff, keep_obs):
     """Per-run solver of x = rhs - coeff * F_obs(x). Each step takes one
-    observation index and, under random noise, one seeded unit direction u;
-    every observation of the step goes through its ``observe``. Returns
+    observation index; every observation of the step is :func:`apply_noise`
+    at it, so random noise gives them one seeded unit direction u. Returns
     (x, F_obs(x)), the closed form's observation None unless ``keep_obs``.
 
     On a linear operator F(x) = M v, v = x - fp, the step is closed form with
@@ -155,11 +149,9 @@ def _implicit_stepper(op, adv, counter, coeff, keep_obs):
 
     def solve(rhs):
         idx = next(counter)
-        u = _random_direction(adv, idx, op.dimension) if random else None
 
         def observe(x):
-            value = eval_operator(op, x)
-            return _random_noise(adv, value, u) if random else apply_noise(adv, value, idx)
+            return apply_noise(adv, eval_operator(op, x), idx)
 
         if M is None:
             x = np.array(rhs, dtype=float)
@@ -173,6 +165,7 @@ def _implicit_stepper(op, adv, counter, coeff, keep_obs):
             raise RuntimeError("implicit step did not reach the residual tolerance")
         r = rhs - fp
         if random:
+            u = _random_direction(adv, idx, op.dimension)
             a, b = gain @ r, push * (gain @ u)
             aa, ab, bb = a.dot(a), a.dot(b), b.dot(b)
             if bb >= 1.0:

@@ -46,18 +46,41 @@ def cos_power_profile(coeffs) -> np.ndarray:
     return cross_profile(c, c)
 
 
+def _scaled_loop(num, den, rho: float = 1.0):
+    """(e, n, d): n is num times 2^-e, e the binary exponent of its largest
+    coefficient, padded to den's length so that the profiles align; d is den;
+    both are multiplied by rho^i. A squared numerator leaves the float range
+    past about 1e154. 2^-e is exact and chebroots divides by the leading
+    coefficient, so no root moves; a caller that scales what it compares with
+    num (the gain read back, gamma, the step) by 2^e as well keeps its squares
+    finite and its result scale-free bit for bit."""
+    e = math.frexp(max(map(abs, num)))[1]
+    powers = rho ** np.arange(len(den))
+    n = np.zeros(len(den))
+    n[: len(num)] = [math.ldexp(c, -e) for c in num]
+    return e, n * powers, np.array(den) * powers
+
+
+def _candidates(series, n, d):
+    """(omegas, n(z), d(z)) at x = -1, x = 1 and the clipped real part of
+    every root of the Chebyshev ``series``; omega = arccos x, z = e^(j omega).
+    n and d are read by Horner, which loses only eps * sum|d_i| / |d(z)|
+    relative, not as their squared profiles, whose sums cancel where |d| is small."""
+    xs = np.concatenate(([-1.0, 1.0], np.clip(C.chebroots(series).real, -1.0, 1.0)))
+    omegas = np.arccos(xs)
+    z = np.exp(1j * omegas)
+    return omegas, horner(n, z), horner(d, z)
+
+
 def level_radius(k: RationalTF, gamma: float) -> float:
     """rho* = sup |z| over |N(z)| >= gamma |D(z)|, for the loop k = N/D, by the
     criss-cross method (Mengi and Overton 2005). From the circle through the
     largest root of D, each pass finds the arcs of |z| = r inside that level
     set, roots of a Chebyshev series in x = cos(omega), and moves r out along
     the ray through each arc's middle to where the ray leaves the set, a root
-    of a polynomial in r. Numerator and gamma are scaled as in
-    :func:`hinf_norm`, so gamma^2 stays finite and the result scale-free."""
-    e = math.frexp(max(map(abs, k.num)))[1]
-    den = np.array(k.den)
-    num = np.zeros(den.size)  # padded to den's length, so the profiles align
-    num[: len(k.num)] = [math.ldexp(c, -e) for c in k.num]
+    of a polynomial in r. Numerator and gamma are scaled by one power of two
+    (:func:`_scaled_loop`)."""
+    e, num, den = _scaled_loop(k.num, k.den)
     g2 = math.ldexp(gamma, -e) ** 2
     r = spectral_radius_poly(den)
     while True:
@@ -90,18 +113,12 @@ def step_margin(unit: RationalTF, rho: float, h: float, r: float) -> list[float]
     of a root e(x): at x = -1, x = 1 or a common root of G and dG/dx, where
     their resultant in e, (a1 c2 - a2 c1)^2 - (a1 b2 - a2 b1)(b1 c2 - b2 c1)
     with a2, b2, c2 the x-derivatives, vanishes. Both roots e at every
-    candidate x are returned; at a spurious one the gain is still reached at
-    that frequency. h and r are scaled by one power of two and n1 by
-    another, as in :func:`level_radius`, so the squares stay finite and the
-    result scale-free."""
+    candidate x (:func:`_candidates`) are returned; at a spurious one the
+    gain is still reached at that frequency. h and r are scaled by one power
+    of two and n1 by another (:func:`_scaled_loop`)."""
     s = math.frexp(h)[1]
-    t = math.frexp(max(map(abs, unit.num)))[1]
     hs, rs = math.ldexp(h, -s), math.ldexp(r, -s)
-    powers = rho ** np.arange(len(unit.den))
-    d1 = np.array(unit.den) * powers
-    n1 = np.zeros(d1.size)  # padded to d1's length, so the profiles align
-    n1[: len(unit.num)] = [math.ldexp(c, -t) for c in unit.num]
-    n1 *= powers
+    t, n1, d1 = _scaled_loop(unit.num, unit.den, rho)
     # the series of G in u = e 2^(s + t), the step size the scaled h and n1 see
     a1 = (hs - rs) * (hs + rs) * cos_power_profile(n1)
     b1 = -2.0 * hs * cross_profile(d1, n1)
@@ -110,12 +127,7 @@ def step_margin(unit: RationalTF, rho: float, h: float, r: float) -> list[float]
     ac = C.chebsub(C.chebmul(a1, c2), C.chebmul(a2, c1))
     ab = C.chebsub(C.chebmul(a1, b2), C.chebmul(a2, b1))
     bc = C.chebsub(C.chebmul(b1, c2), C.chebmul(b2, c1))
-    xs = C.chebroots(C.chebsub(C.chebmul(ac, ac), C.chebmul(ab, bc)))
-    xs = np.concatenate(([-1.0, 1.0], np.clip(xs.real, -1.0, 1.0)))
-    # a, b and c by Horner at z = e^(j arccos x), as in hinf_norm: the squared
-    # series' Chebyshev sums cancel where |d1| is small
-    z = np.exp(1j * np.arccos(xs))
-    n, d = horner(n1, z), horner(d1, z)
+    _, n, d = _candidates(C.chebsub(C.chebmul(ac, ac), C.chebmul(ab, bc)), n1, d1)
     a = (hs - rs) * (hs + rs) * abs(n) ** 2
     b = -2.0 * hs * (d * n.conj()).real
     c = abs(d) ** 2
@@ -138,27 +150,22 @@ def hinf_norm(k: RationalTF) -> tuple[float, float]:
     candidates are the endpoints and the real part of every root of that
     Chebyshev series, clipped to [-1, 1]; a spurious candidate is still a
     point of the domain, so it cannot raise the maximum above the true one.
-    Each candidate is read as |N(z)/D(z)| at z = e^(j arccos x), not as P/Q:
-    the Chebyshev sums of the squared profiles cancel where |D| is small,
-    while the Horner sums of N and D lose only eps * sum|d_i| / |D(z)|
-    relative. The result is a float maximum, not a bound: where Q nearly
-    vanishes at the peak, rounding moves the root and the gain can be
-    underestimated. Returns (gain, omega) with omega = arccos(x*) in [0, pi];
-    the mirrored frequency attains the same value.
-    """
+    Each candidate is read as |N(z)/D(z)|, not as P/Q (:func:`_candidates`),
+    and N is scaled by a power of two (:func:`_scaled_loop`). The result is
+    a float maximum, not a bound: where Q nearly vanishes at the peak,
+    rounding moves the root and the gain can be underestimated. Returns
+    (gain, omega) with omega = arccos(x*) in [0, pi]; the mirrored frequency
+    attains the same value."""
     if k.den_degree >= 1 and not is_schur(k.den):
         raise UnstableSystemError("gain undefined for unstable system")
 
-    # P squares num and overflows past about 1e154: scale num by 2^-e, which is
-    # exact, and chebroots divides by the leading coefficient, so no root moves
-    e = math.frexp(max(map(abs, k.num)))[1]
-    num = [math.ldexp(c, -e) for c in k.num]
+    e, num, _ = _scaled_loop(k.num, k.den)
+    # unpadded: zeros would regroup np.correlate's sums (P's bits) and slow Horner
+    num = num[: len(k.num)]
     p = cos_power_profile(num)
     q = cos_power_profile(k.den)
     slope = C.chebsub(C.chebmul(C.chebder(p), q), C.chebmul(p, C.chebder(q)))
-    xs = np.concatenate(([-1.0, 1.0], np.clip(C.chebroots(slope).real, -1.0, 1.0)))
-    omegas = np.arccos(xs)
-    z = np.exp(1j * omegas)
-    vals = np.abs(horner(num, z) / horner(k.den, z))
+    omegas, n, d = _candidates(slope, num, k.den)
+    vals = np.abs(n / d)
     i = int(np.argmax(vals))
     return math.ldexp(float(vals[i]), e), float(omegas[i])

@@ -592,17 +592,17 @@ def test_simulator_and_certifier_see_the_same_system():
 
 def test_random_noise_draws_each_direction_once(monkeypatch):
     # pid observes once at x0 and once per implicit step, pp once per step;
-    # every observation of a step, closed form or damped iteration, shares
-    # one seeded draw
+    # every observation of a step, closed form or damped iteration, is
+    # apply_noise at the step's index, and a run's directions are one chunk
     dynamics = importlib.import_module("freqcert.dynamics")
-    draws = []
-    draw = dynamics._random_direction
+    ks = []
+    observe = dynamics.apply_noise
 
-    def counted(adv, k, size):
-        draws.append(k)
-        return draw(adv, k, size)
+    def counted(adv, value, k):
+        ks.append(k)
+        return observe(adv, value, k)
 
-    monkeypatch.setattr(dynamics, "_random_direction", counted)
+    monkeypatch.setattr(dynamics, "apply_noise", counted)
     steps = 40
     pid = MethodSpec("pid", kp=0.09, ki=0.13, kd=0.025)
     pp = MethodSpec("pp", eta=0.7)
@@ -611,10 +611,14 @@ def test_random_noise_draws_each_direction_once(monkeypatch):
         (pid, scalar_noncvx(), [2.0], 1),
         (pp, scalar_noncvx(), [2.0], 0),
     ):
-        draws.clear()
+        ks.clear()
+        dynamics._direction_chunk.cache_clear()
         t = run(m, op, x0, steps, NoiseAdversary("random", 0.04, seed=5))
         assert not t.diverged and len(t.distances) == steps + 1
-        assert draws == list(range(at_x0 + steps)), (m.family, op.kind)
+        assert ks == sorted(ks), (m.family, op.kind)
+        assert list(dict.fromkeys(ks)) == list(range(at_x0 + steps)), (m.family, op.kind)
+        assert dynamics._direction_chunk.cache_info().misses == 1, (m.family, op.kind)
+    dynamics._direction_chunk.cache_clear()
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import pytest
 from numpy.polynomial import chebyshev as C
 from numpy.testing import assert_allclose
 
+from freqcert.certify import RHO_PROBE
 from freqcert.gain import cos_power_profile, cross_profile, hinf_norm, step_margin
 from freqcert.stability import spectral_radius_poly
 from freqcert.transfer import (
@@ -230,6 +231,22 @@ def test_step_margin_is_scale_free():
         for k in (-1000, 1000, int(rng.integers(-1000, 1001))):
             c = 2.0**k
             assert [e * c for e in step_margin(unit, 1.0 - 1e-6, 2.25 * c, 1.75 * c)] == base
+
+
+def test_hinf_norm_is_scale_free(family_corpus):
+    # the numerator times a power of two c: the gain times c at the same
+    # frequency, bit for bit. One c puts the numerator near 1e200, where its
+    # unscaled square overflows
+    rng = np.random.default_rng(12)
+    for method, _ in family_corpus(5):
+        loop = rho_scale(complementary_sensitivity(build_transfer(method), 2.25), RHO_PROBE)
+        gain, omega = hinf_norm(loop)
+        top = max(map(abs, loop.num))
+        near = 2.0 ** (666 - math.frexp(top)[1])
+        assert 1e200 <= near * top < 1e201  # its square is past the float range
+        for c in (2.0**-1000, 2.0**1000, 2.0 ** int(rng.integers(-1000, 1001)), near):
+            scaled = RationalTF(tuple(v * c for v in loop.num), loop.den)
+            assert hinf_norm(scaled) == (gain * c, omega), (method, c)
 
 
 def _narrow_resonance():
