@@ -8,6 +8,7 @@ supremum gain below 1 / ((L - mu)/2 + L delta). The noiseless threshold is
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -151,31 +152,42 @@ def best_rate(
     exactly when r > rho*, the largest |z| of the level set
     (:func:`~freqcert.gain.level_radius`).
 
-    The shifted loop is built once; each probe only rescales it by rho and
-    runs the stability and gain checks, exactly as :func:`certify` would.
-    After the probe at ``RHO_PROBE``, the search probes a ladder of rates
-    just above rho*, rho* (1 + 1e-12 8^k) for k = 0 .. 6, and returns the
-    first that certifies (``RHO_TOL`` when rho* lies below it), so the
-    returned rate has passed a probe. Should rounding leave every rung
-    uncertified, :func:`_bisect` brackets the rate between the last rung
-    and ``RHO_PROBE``.
+    So the level set decides the search before any probe. rho* is computed
+    up to the cap ``RHO_PROBE``; when it reaches the cap, nothing certifies
+    at ``RHO_PROBE`` and the search returns None without a probe. Otherwise
+    it probes a ladder of rates just above rho*, rho* (1 + 1e-12 8^k) for
+    k = 0 .. 6, and returns the first that certifies (``RHO_TOL`` when rho*
+    lies below it), so the returned rate has passed a probe: one probe on
+    every certified search the benchmark runs. A rung that certifies wins
+    even where rounding would fail the probe at ``RHO_PROBE``. Should every
+    rung fail, the search probes ``RHO_PROBE``, returns None if that fails
+    too, and else :func:`_bisect` brackets the rate between the last rung
+    and ``RHO_PROBE``. The shifted loop is built once; each probe only
+    rescales it by rho and runs the stability and gain checks, exactly as
+    :func:`certify` would. A loop with a coefficient beyond the float range
+    is uncertified, as every probe of it would be.
     """
     k, shifted = _shifted_loop(method, sector)
     if not (k.strictly_proper or allow_improper):
+        return None
+    if not all(map(math.isfinite, shifted.num + shifted.den)):
         return None
     threshold = gain_threshold(sector)
 
     def certified(rho: float) -> bool:
         return _certified_at(shifted, rho, threshold)[0]
 
-    if not certified(RHO_PROBE):
+    rho = level_radius(shifted, threshold, cap=RHO_PROBE)
+    if rho >= RHO_PROBE:
         return None
-    rho = level_radius(shifted, threshold)
-    # relative offsets 1e-12 8^i, i < 7, stay below RHO_TOL
-    ladder = [min(rho * (1.0 + 1e-12 * 8.0**i), RHO_PROBE) for i in range(7)]
+    # relative offsets 1e-12 8^i, i < 7, stay below RHO_TOL; rungs clipped to
+    # RHO_PROBE probe it once
+    ladder = dict.fromkeys(min(rho * (1.0 + 1e-12 * 8.0**i), RHO_PROBE) for i in range(7))
     for bad in [RHO_TOL] if rho < RHO_TOL else ladder:
         if certified(bad):
             return bad
+    if bad == RHO_PROBE or not certified(RHO_PROBE):
+        return None
     return _bisect(certified, RHO_PROBE, bad, RHO_TOL)
 
 

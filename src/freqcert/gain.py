@@ -46,47 +46,83 @@ def cos_power_profile(coeffs) -> np.ndarray:
     return cross_profile(c, c)
 
 
-def _scaled_loop(num, den, rho: float = 1.0):
-    """(e, n, d): n is num times 2^-e, e the binary exponent of its largest
-    coefficient, padded to den's length so that the profiles align; d is den;
-    both are multiplied by rho^i. A squared numerator leaves the float range
-    past about 1e154. 2^-e is exact and chebroots divides by the leading
-    coefficient, so no root moves; a caller that scales what it compares with
-    num (the gain read back, gamma, the step) by 2^e as well keeps its squares
-    finite and its result scale-free bit for bit."""
+def _scaled_num(num):
+    """(e, num times 2^-e), e the binary exponent of num's largest
+    coefficient. A squared numerator leaves the float range past about
+    1e154. 2^-e is exact and chebroots divides by the leading coefficient,
+    so no root moves; a caller that scales what it compares with num (the
+    gain read back, gamma, the step) by 2^e as well keeps its squares finite
+    and its result scale-free bit for bit."""
     e = math.frexp(max(map(abs, num)))[1]
-    powers = rho ** np.arange(len(den))
+    return e, np.array([math.ldexp(c, -e) for c in num])
+
+
+def _scaled_loop(num, den, rho: float = 1.0):
+    """(e, n, d): n is :func:`_scaled_num`'s num, padded to den's length so
+    that the profiles align; d is den; both are multiplied by rho^i, which
+    at rho = 1 is skipped, since x * 1.0 == x."""
+    e, scaled = _scaled_num(num)
     n = np.zeros(len(den))
-    n[: len(num)] = [math.ldexp(c, -e) for c in num]
+    n[: len(num)] = scaled
+    if rho == 1.0:
+        return e, n, np.array(den)
+    powers = rho ** np.arange(len(den))
     return e, n * powers, np.array(den) * powers
+
+
+def _chebroots(series):
+    """Roots of the Chebyshev ``series`` once its leading coefficients of at
+    most 1e-14 times its largest are dropped. chebroots divides by the
+    leading coefficient: a negligible one, left by a method weight many
+    orders below the others, fills the companion matrix with entries near
+    its inverse, which lose the roots in [-1, 1] to rounding or overflow to
+    inf. |T_n| <= 1 on [-1, 1], so a dropped c_n moves the series there by
+    at most |c_n|, about one rounding of its largest coefficient; the roots
+    that leave with it lie far outside [-1, 1]. A series that is not finite
+    is passed on whole, so chebroots still raises on it."""
+    top = np.abs(series).max()
+    return C.chebroots(C.chebtrim(series, 1e-14 * top) if np.isfinite(top) else series)
 
 
 def _candidates(series, n, d):
     """(omegas, n(z), d(z)) at x = -1, x = 1 and the clipped real part of
-    every root of the Chebyshev ``series``; omega = arccos x, z = e^(j omega).
-    n and d are read by Horner, which loses only eps * sum|d_i| / |d(z)|
-    relative, not as their squared profiles, whose sums cancel where |d| is small."""
-    xs = np.concatenate(([-1.0, 1.0], np.clip(C.chebroots(series).real, -1.0, 1.0)))
+    every root of the Chebyshev ``series`` (:func:`_chebroots`);
+    omega = arccos x, z = e^(j omega). n and d are read by Horner, which
+    loses only eps * sum|d_i| / |d(z)| relative, not as their squared
+    profiles, whose sums cancel where |d| is small."""
+    xs = np.concatenate(([-1.0, 1.0], np.clip(_chebroots(series).real, -1.0, 1.0)))
     omegas = np.arccos(xs)
     z = np.exp(1j * omegas)
     return omegas, horner(n, z), horner(d, z)
 
 
-def level_radius(k: RationalTF, gamma: float) -> float:
+def level_radius(k: RationalTF, gamma: float, cap: float = math.inf) -> float:
     """rho* = sup |z| over |N(z)| >= gamma |D(z)|, for the loop k = N/D, by the
     criss-cross method (Mengi and Overton 2005). From the circle through the
     largest root of D, each pass finds the arcs of |z| = r inside that level
     set, roots of a Chebyshev series in x = cos(omega), and moves r out along
     the ray through each arc's middle to where the ray leaves the set, a root
     of a polynomial in r. Numerator and gamma are scaled by one power of two
-    (:func:`_scaled_loop`)."""
+    (:func:`_scaled_loop`).
+
+    r only grows, so the search returns an r >= ``cap`` as soon as it
+    reaches one, mid-pass included: a caller that only asks whether
+    rho* < cap gets its answer early. Below the cap the passes, and the
+    result, are those of the uncapped call. Where the scaled gamma squared
+    overflows, |D| <= |N| / gamma holds only within rounding of D's roots,
+    and r, their largest magnitude, is returned."""
+    r = spectral_radius_poly(k.den)
+    if r >= cap:
+        return r
     e, num, den = _scaled_loop(k.num, k.den)
-    g2 = math.ldexp(gamma, -e) ** 2
-    r = spectral_radius_poly(den)
+    try:
+        g2 = math.ldexp(gamma, -e) ** 2
+    except OverflowError:
+        return r
     while True:
         powers = r ** np.arange(den.size)
         s = cos_power_profile(num * powers) - g2 * cos_power_profile(den * powers)
-        xs = C.chebroots(C.chebtrim(s, 0))
+        xs = _chebroots(s)
         xs = np.array(sorted({-1.0, 1.0, *np.clip(xs.real[abs(xs.imag) <= 1e-9], -1.0, 1.0)}))
         keep = C.chebval(0.5 * (xs[:-1] + xs[1:]), s) >= 0
         omegas = [0.5 * (math.acos(a) + math.acos(b)) for a, b in zip(xs[:-1][keep], xs[1:][keep])]
@@ -98,6 +134,8 @@ def level_radius(k: RationalTF, gamma: float) -> float:
             a, b = (c * np.exp(1j * w * np.arange(den.size)) for c in (num, den))
             rs = np.roots((np.convolve(a, a.conj()).real - g2 * np.convolve(b, b.conj()).real)[::-1])
             r = max(r, rs.real[(abs(rs.imag) <= 1e-9) & (rs.real > 0)].max(initial=0.0))
+            if r >= cap:
+                return float(r)
         if not omegas or r <= prev * (1.0 + 1e-15):
             return float(r)
 
@@ -151,7 +189,7 @@ def hinf_norm(k: RationalTF) -> tuple[float, float]:
     Chebyshev series, clipped to [-1, 1]; a spurious candidate is still a
     point of the domain, so it cannot raise the maximum above the true one.
     Each candidate is read as |N(z)/D(z)|, not as P/Q (:func:`_candidates`),
-    and N is scaled by a power of two (:func:`_scaled_loop`). The result is
+    and N is scaled by a power of two (:func:`_scaled_num`). The result is
     a float maximum, not a bound: where Q nearly vanishes at the peak,
     rounding moves the root and the gain can be underestimated. Returns
     (gain, omega) with omega = arccos(x*) in [0, pi]; the mirrored frequency
@@ -159,9 +197,8 @@ def hinf_norm(k: RationalTF) -> tuple[float, float]:
     if k.den_degree >= 1 and not is_schur(k.den):
         raise UnstableSystemError("gain undefined for unstable system")
 
-    e, num, _ = _scaled_loop(k.num, k.den)
     # unpadded: zeros would regroup np.correlate's sums (P's bits) and slow Horner
-    num = num[: len(k.num)]
+    e, num = _scaled_num(k.num)
     p = cos_power_profile(num)
     q = cos_power_profile(k.den)
     slope = C.chebsub(C.chebmul(C.chebder(p), q), C.chebmul(p, C.chebder(q)))

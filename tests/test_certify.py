@@ -692,9 +692,10 @@ def test_best_rate_lies_within_the_bisection_width_below_it(seed, family_corpus)
     assert rated >= 30
 
 
-def test_a_search_makes_at_most_two_probes(monkeypatch, family_corpus):
-    # RHO_PROBE, then the first rung of the ladder; an uncertified loop stops
-    # after RHO_PROBE
+def test_a_certified_search_makes_one_probe(monkeypatch, family_corpus):
+    # the level set capped at RHO_PROBE decides the search: a certified one
+    # probes the first rung of the ladder, and one whose level set reaches
+    # RHO_PROBE makes no probe
     scales = _count_calls(monkeypatch, certify_mod, "rho_scale")
     counts = {True: set(), False: set()}
     for delta in (0.0, 0.04):
@@ -703,8 +704,15 @@ def test_a_search_makes_at_most_two_probes(monkeypatch, family_corpus):
             scales.clear()
             rate = best_rate(method, sector, allow_improper=allow)
             counts[rate is not None].add(len(scales))
-    assert max(counts[True]) <= 2
-    assert counts[False] == {1}
+    assert counts == {True: {1}, False: {0}}
+
+
+def test_a_loop_beyond_the_float_range_is_uncertified_without_a_probe(monkeypatch):
+    # h eta overflows in den - h num; every probe of that loop would leave
+    # the float range
+    scales = _count_calls(monkeypatch, certify_mod, "rho_scale")
+    assert best_rate(MethodSpec("gd", eta=1e300), SectorParams(0.5, 1e10)) is None
+    assert scales == []
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.04])
@@ -712,7 +720,8 @@ def test_a_level_radius_too_low_falls_back_to_bisection(monkeypatch, delta, fami
     # with rho* halved every rung of the ladder is uncertified; the bisection
     # between the last rung and RHO_PROBE still returns a certified, tight rate
     level_radius = certify_mod.level_radius
-    monkeypatch.setattr(certify_mod, "level_radius", lambda k, gamma: 0.5 * level_radius(k, gamma))
+    monkeypatch.setattr(certify_mod, "level_radius",
+                        lambda k, gamma, cap: 0.5 * level_radius(k, gamma, cap))
     bisections = _count_calls(monkeypatch, certify_mod, "_bisect")
     sector = SectorParams(mu=0.5, L=4.0, delta=delta)
     rated = 0
@@ -738,6 +747,53 @@ def test_level_radius_reads_the_closed_form_rates(eta):
     for c in (2.0**-1000, 2.0**1000):  # a power of two, scaled exactly
         scaled = RationalTF(tuple(v * c for v in gd.num), gd.den)
         assert level_radius(scaled, threshold * c) == level_radius(gd, threshold)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.04])
+def test_a_capped_level_radius_is_the_uncapped_one_below_the_cap(delta, family_corpus):
+    # bit for bit below the cap; at or above it, some r >= cap
+    sector = SectorParams(mu=0.5, L=4.0, delta=delta)
+    threshold = gain_threshold(sector)
+    below = above = 0
+    for seed in range(1, 6):
+        for method, _ in family_corpus(seed):
+            shifted = _shifted_loop(method, sector)[1]
+            rho = level_radius(shifted, threshold)
+            for cap in (0.5, 0.9, rho, np.nextafter(rho, np.inf), RHO_PROBE):
+                capped = level_radius(shifted, threshold, cap=cap)
+                if rho < cap:
+                    assert capped == rho, (method, cap)
+                    below += 1
+                else:
+                    assert cap <= capped <= rho, (method, cap)
+                    above += 1
+    assert below > 100 and above > 100
+
+
+def test_a_capped_level_radius_stops_in_the_pass_that_reaches_the_cap(monkeypatch):
+    # one Chebyshev root call per circle pass: the uncapped search confirms
+    # rho* in a second pass, a cap just past the poles ends it in the first,
+    # and a cap at the poles before any
+    threshold = gain_threshold(SECTOR)
+    shifted = _shifted_loop(MethodSpec("ogd", eta=1 / 12), SECTOR)[1]
+    passes = _count_calls(monkeypatch, np.polynomial.chebyshev, "chebroots")
+    rho = level_radius(shifted, threshold)
+    assert len(passes) == 2
+    poles = spectral_radius_poly(shifted.den)
+    passes.clear()
+    assert level_radius(shifted, threshold, cap=poles) == poles and passes == []
+    cap = poles + (rho - poles) * 1e-3
+    assert cap <= level_radius(shifted, threshold, cap=cap) < rho and len(passes) == 1
+
+
+def test_rungs_clipped_to_rho_probe_probe_it_once(monkeypatch):
+    # gd at eta = 0.6 certifies at no rate (rho* = 4 eta - 1 = 1.4); with rho*
+    # put 1e-9 below RHO_PROBE, rungs 4 .. 6 clip to RHO_PROBE: four rungs
+    # below it and one probe at it
+    monkeypatch.setattr(certify_mod, "level_radius", lambda k, gamma, cap: RHO_PROBE * (1.0 - 1e-9))
+    scales = _count_calls(monkeypatch, certify_mod, "rho_scale")
+    assert best_rate(MethodSpec("gd", eta=0.6), SECTOR) is None
+    assert len(scales) == 5
 
 
 def test_coefficient_maps_find_no_roots(monkeypatch):
@@ -822,6 +878,39 @@ def test_searches_survive_extreme_scales():
                 step = replace(method, eta=eta)
                 assert RHO_PROBE >= _shifted_pole_radius(step, sector), (step, sector)
     assert len(specs) == 270 and certified > 20
+
+
+def test_a_negligible_leading_weight_gets_no_false_certificate():
+    # the 1e-77 weight leaves the gain's slope series a leading coefficient
+    # about 1e-75 of its largest; chebroots on the untrimmed series lost every
+    # root in [-1, 1], and the gain read 0.000999755 below the threshold
+    # 0.00100025. At 50 digits it is 0.00124304, at omega = 0.304, and the
+    # largest step that certifies at RHO_PROBE is 0.00332954530957125...
+    method = MethodSpec("general", eta=0.0045, a=(0, 0, 0, 0.072, 1e-77), b=(0.5, 0.5, 0, 0, 0))
+    sector = SectorParams(0.5, 2000.0)
+    res = certify(CertificationQuery(method, sector, RHO_PROBE))
+    assert not res.certified and res.gain > 1.2 * res.threshold
+    assert best_rate(method, sector) is None
+    exact = 0.0033295453095712
+    assert exact * (1.0 - 2.6e-7) <= max_learning_rate(method, sector) <= exact
+
+
+def test_a_subnormal_leading_weight_leaves_the_searches_well_posed():
+    # a = (0.6, 1e-310) put 1/1e-310 = inf into chebroots' companion matrix,
+    # and both searches raised LinAlgError; 1e-300 was already fine
+    method, sector = MethodSpec("hgd", eta=0.5, a=(0.6, 1e-310)), SectorParams(0.5, 4.0)
+    near = replace(method, a=(0.6, 1e-300))
+    assert best_rate(method, sector) == best_rate(near, sector) is not None
+    assert max_learning_rate(method, sector) == max_learning_rate(near, sector) is not None
+
+
+def test_a_scaled_gamma_beyond_the_float_range_leaves_the_level_set_at_the_poles():
+    # the numerator 1e-200 scaled to 1 takes gamma to about 1e200, whose
+    # square overflows; the level set then lies within rounding of the poles
+    method, sector = MethodSpec("hgd", eta=0.01, a=(1e-200,)), SectorParams(0.5, 4.0)
+    shifted = _shifted_loop(method, sector)[1]
+    assert level_radius(shifted, gain_threshold(sector)) == spectral_radius_poly(shifted.den)
+    assert best_rate(method, sector) is None
 
 
 def test_searches_are_scale_free(family_corpus):

@@ -364,3 +364,60 @@ def test_gain_is_within_the_horner_floor_of_the_reference(family_corpus):
             assert abs(gain - want) <= (1e-10 + eps * kappa) * want, (method, frac)
             checked += 1
     assert checked == 72
+
+
+def _refined_gain(k):
+    """sup |K| on the unit circle from below: the largest of 4001 float
+    samples in [0, pi], each of the three largest refined by golden-section
+    search at 30 digits between its neighbours."""
+    ws = np.linspace(0.0, np.pi, 4001)
+    z = np.exp(1j * ws)
+    samples = np.abs(np.polynomial.polynomial.polyval(z, k.num) / np.polynomial.polynomial.polyval(z, k.den))
+    with mpmath.workdps(30):
+        num, den = ([mpmath.mpf(c) for c in p[::-1]] for p in (k.num, k.den))
+
+        def gain(w):
+            z = mpmath.expj(w)
+            return abs(mpmath.polyval(num, z) / mpmath.polyval(den, z))
+
+        phi = (mpmath.sqrt(5) - 1) / 2
+        best = mpmath.mpf(0)
+        for i in np.argsort(samples)[-3:]:
+            a, b = mpmath.mpf(ws[max(i - 1, 0)]), mpmath.mpf(ws[min(i + 1, ws.size - 1)])
+            c, d = b - phi * (b - a), a + phi * (b - a)
+            gc, gd = gain(c), gain(d)
+            for _ in range(50):
+                if gc > gd:
+                    b, d, gd = d, c, gc
+                    c = b - phi * (b - a)
+                    gc = gain(c)
+                else:
+                    a, c, gc = c, d, gd
+                    d = a + phi * (b - a)
+                    gd = gain(d)
+            best = max(best, gc, gd, gain(mpmath.mpf(ws[i])))
+        return float(best)
+
+
+def test_gain_with_a_negligible_leading_weight_is_within_the_horner_floor():
+    # hgd loops whose last weight is 1e-12 to 1e-300 of the others: it leaves
+    # the slope series a negligible leading coefficient, which must not hide
+    # the roots in [-1, 1]. Horner floor as in the test above
+    rng = np.random.default_rng(3)
+    eps = np.finfo(float).eps
+    checked = 0
+    while checked < 24:
+        a = rng.uniform(-1.0, 1.0, int(rng.integers(2, 7)))
+        a[-1] *= 10.0 ** -rng.uniform(12.0, 300.0)
+        method = MethodSpec("hgd", eta=float(rng.uniform(0.01, 0.5)), a=tuple(map(float, a)))
+        shifted = complementary_sensitivity(build_transfer(method), 2.25)
+        radius = spectral_radius_poly(shifted.den)
+        if radius >= 1.0:
+            continue
+        loop = rho_scale(shifted, radius + (1.0 - radius) * float(rng.uniform(0.01, 0.5)))
+        gain, omega = hinf_norm(loop)
+        want = _refined_gain(loop)
+        d_star = np.polynomial.polynomial.polyval(np.exp(1j * omega), loop.den)
+        kappa = np.sum(np.abs(loop.den)) / abs(d_star)
+        assert abs(gain - want) <= (1e-10 + eps * kappa) * want, (method, loop)
+        checked += 1
