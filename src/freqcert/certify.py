@@ -133,6 +133,15 @@ def _bisect(certified, good: float, bad: float, width: float) -> float:
     return good
 
 
+def _rungs(edge: float, stop: float) -> list[float]:
+    """The ladder edge (1 +- 1e-12 8^k), k = 0 .. 6, stepping from ``edge``
+    toward ``stop``, each rung strictly short of ``stop``. The relative
+    offsets stay below 2.6e-7, under ``RHO_TOL``."""
+    s = 1.0 if stop > edge else -1.0  # a unit sign, so (stop - r) s cannot underflow
+    rungs = (edge * (1.0 + s * 1e-12 * 8.0**k) for k in range(7))
+    return [r for r in rungs if (stop - r) * s > 0.0]
+
+
 def best_rate(
     method: MethodSpec,
     sector: SectorParams,
@@ -156,16 +165,19 @@ def best_rate(
     up to the cap ``RHO_PROBE``; when it reaches the cap, nothing certifies
     at ``RHO_PROBE`` and the search returns None without a probe. Otherwise
     it probes a ladder of rates just above rho*, rho* (1 + 1e-12 8^k) for
-    k = 0 .. 6, and returns the first that certifies (``RHO_TOL`` when rho*
-    lies below it), so the returned rate has passed a probe: one probe on
-    every certified search the benchmark runs. A rung that certifies wins
-    even where rounding would fail the probe at ``RHO_PROBE``. Should every
-    rung fail, the search probes ``RHO_PROBE``, returns None if that fails
-    too, and else :func:`_bisect` brackets the rate between the last rung
-    and ``RHO_PROBE``. The shifted loop is built once; each probe only
-    rescales it by rho and runs the stability and gain checks, exactly as
-    :func:`certify` would. A loop with a coefficient beyond the float range
-    is uncertified, as every probe of it would be.
+    k = 0 .. 6, each strictly below ``RHO_PROBE`` (:func:`_rungs`), and
+    returns the first that certifies (``RHO_TOL`` when rho* lies below it),
+    so the returned rate has passed a probe: one probe on every certified
+    search the benchmark runs. Should every rung fail, the search makes its
+    only probe at ``RHO_PROBE``, returns None if that fails too, and else
+    :func:`_bisect` brackets the rate between the last rung (or rho*, when
+    no rung lies below ``RHO_PROBE``) and ``RHO_PROBE``; that bracket is
+    already narrower than ``RHO_TOL`` when the ladder stopped short of
+    ``RHO_PROBE``, and ``RHO_PROBE`` is returned at once. The shifted loop is
+    built once; each probe only rescales it by rho and runs the stability
+    and gain checks, exactly as :func:`certify` would. A loop with a
+    coefficient beyond the float range is uncertified, as every probe of it
+    would be.
     """
     k, shifted = _shifted_loop(method, sector)
     if not (k.strictly_proper or allow_improper):
@@ -180,13 +192,11 @@ def best_rate(
     rho = level_radius(shifted, threshold, cap=RHO_PROBE)
     if rho >= RHO_PROBE:
         return None
-    # relative offsets 1e-12 8^i, i < 7, stay below RHO_TOL; rungs clipped to
-    # RHO_PROBE probe it once
-    ladder = dict.fromkeys(min(rho * (1.0 + 1e-12 * 8.0**i), RHO_PROBE) for i in range(7))
-    for bad in [RHO_TOL] if rho < RHO_TOL else ladder:
+    bad = rho  # rho* does not certify; the ladder is empty within 1e-12 of RHO_PROBE
+    for bad in [RHO_TOL] if rho < RHO_TOL else _rungs(rho, RHO_PROBE):
         if certified(bad):
             return bad
-    if bad == RHO_PROBE or not certified(RHO_PROBE):
+    if not certified(RHO_PROBE):
         return None
     return _bisect(certified, RHO_PROBE, bad, RHO_TOL)
 
@@ -210,12 +220,14 @@ def max_learning_rate(
     curve at h, inside it. Those steps, :func:`~freqcert.gain.step_margin`,
     split (0, cap] into gaps certified throughout or nowhere: at a spurious
     one the gain equals the threshold, so it lies in no certified interval.
-    After the cap, the search probes each gap's middle from the top down,
-    then the ladder e* (1 - 1e-12 8^k), k = 0 .. 6, above that middle, from
-    the upper edge e* of the first gap that certifies. It returns the first
-    step that certifies, so the returned step has passed a probe. Should no
-    rung certify, :func:`_bisect` brackets the step between the middle and
-    the last rung."""
+    The cap lies in the top gap, so its failed probe settles that gap. The
+    search then probes each lower gap's middle from the top down, from the
+    gap below the last touch under the cap (None at once when no touch lies
+    below the cap), then the ladder e* (1 - 1e-12 8^k), k = 0 .. 6, above
+    that middle (:func:`_rungs`), from the upper edge e* of the first gap
+    that certifies. It returns the first step that certifies, so the
+    returned step has passed a probe. Should no rung certify,
+    :func:`_bisect` brackets the step between the middle and the last rung."""
     if method.eta is None:
         raise ValueError("method family must carry a learning-rate field")
     unit = build_transfer(replace(method, eta=1.0))
@@ -232,17 +244,14 @@ def max_learning_rate(
     if certifiable(cap):
         return cap
     touches = step_margin(unit, RHO_PROBE, h, 1.0 / threshold)
-    edges = [0.0, *(e for e in touches if e < cap), cap]
+    edges = [0.0, *(e for e in touches if e < cap)]  # the cap's probe settled the top gap
     for lo, bad in reversed(list(zip(edges, edges[1:]))):
         eta = lo + 0.5 * (bad - lo)  # lo + bad may overflow
         if certifiable(eta):
             break
     else:
         return None
-    # relative offsets 1e-12 8^i, i < 7, as in best_rate's ladder
-    for rung in [bad * (1.0 - 1e-12 * 8.0**i) for i in range(7)]:
-        if rung <= eta:
-            break
+    for rung in _rungs(bad, eta):
         if certifiable(rung):
             return rung
         bad = rung

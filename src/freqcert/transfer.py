@@ -228,8 +228,6 @@ def complementary_sensitivity(k: RationalTF, h: float) -> RationalTF:
     relative to their own scale, i.e. when 1 - h K(inf) = 0 and the loop is
     not well posed; an overflowed h num is no cancellation.
     """
-    if h == 0.0:
-        return k
     shifted = list(k.den)
     for i, c in enumerate(k.num):
         shifted[i] -= h * c

@@ -449,10 +449,11 @@ def test_max_learning_rate_probes_without_certify(monkeypatch):
     step = max_learning_rate(ogd, SECTOR)
     assert step is not None
     assert certifies == []
-    # one hinf_norm per probe: the cap, the middle of each gap from the top
-    # down to the step's own, then at least one and at most 7 rungs
+    # one hinf_norm per probe: the cap, whose failed probe settles the top
+    # gap, the middle of each lower gap from the top down to the step's own,
+    # then at least one and at most 7 rungs
     probed = sum(top > step for top in edges[1:])
-    assert 1 + probed < len(gains) <= 1 + probed + 7
+    assert probed < len(gains) <= probed + 7
     assert len(builds) == 1  # K = eta K1: K1 is built once per search
     assert len(scales) == len(gains)
 
@@ -466,12 +467,13 @@ def test_max_learning_rate_probes_without_certify(monkeypatch):
     ],
 )
 def test_max_learning_rate_gives_up_after_one_probe_per_gap(method, sector, monkeypatch):
-    # nothing certifies: the search probes the cap and the middle of each gap
-    # between the touches below it, (touches below the cap) + 2 probes
+    # nothing certifies: the search probes the cap, which settles the top
+    # gap, and the middle of each gap below the last touch under the cap,
+    # (touches below the cap) + 1 probes
     edges = _gap_edges(method, sector)
     scales = _count_calls(monkeypatch, certify_mod, "rho_scale")
     assert max_learning_rate(method, sector) is None
-    assert len(scales) == len(edges) <= 8
+    assert len(scales) == len(edges) - 1 <= 7
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.04])
@@ -788,12 +790,36 @@ def test_a_capped_level_radius_stops_in_the_pass_that_reaches_the_cap(monkeypatc
 
 def test_rungs_clipped_to_rho_probe_probe_it_once(monkeypatch):
     # gd at eta = 0.6 certifies at no rate (rho* = 4 eta - 1 = 1.4); with rho*
-    # put 1e-9 below RHO_PROBE, rungs 4 .. 6 clip to RHO_PROBE: four rungs
-    # below it and one probe at it
+    # put 1e-9 below RHO_PROBE, rungs 4 .. 6 would reach RHO_PROBE and are
+    # dropped: four rungs below it, then the fallback's one probe at it
     monkeypatch.setattr(certify_mod, "level_radius", lambda k, gamma, cap: RHO_PROBE * (1.0 - 1e-9))
     scales = _count_calls(monkeypatch, certify_mod, "rho_scale")
     assert best_rate(MethodSpec("gd", eta=0.6), SECTOR) is None
     assert len(scales) == 5
+
+
+def test_an_empty_ladder_leaves_rho_probe_to_the_fallback(monkeypatch):
+    # with rho* put 1e-13 below RHO_PROBE no rung lies below it; gd at
+    # eta = 0.2 certifies there, and the bracket from rho* is already closed
+    monkeypatch.setattr(certify_mod, "level_radius", lambda k, gamma, cap: RHO_PROBE * (1.0 - 1e-13))
+    scales = _count_calls(monkeypatch, certify_mod, "rho_scale")
+    assert best_rate(MethodSpec("gd", eta=0.2), SECTOR) == RHO_PROBE
+    assert best_rate(MethodSpec("gd", eta=0.6), SECTOR) is None
+    assert len(scales) == 2
+
+
+def test_a_failed_first_rung_climbs_the_ladder(monkeypatch):
+    # a seeded hgd whose rho* = 0.99984995451245 rounds so that the first rung,
+    # rho* (1 + 1e-12), fails its probe; the second, rho* (1 + 8e-12), wins
+    method = MethodSpec("hgd", eta=0.0016600926188407817, a=(0.6955280707910088, 0.9775755344270118))
+    sector = SectorParams(0.06882932127532751, 0.09471673800101121, 0.15638646544621385)
+    scales = _count_calls(monkeypatch, certify_mod, "rho_scale")
+    rate = best_rate(method, sector)
+    assert rate == 0.9998499545204501
+    assert len(scales) == 2
+    rho = level_radius(_shifted_loop(method, sector)[1], gain_threshold(sector))
+    assert _certifies(method, sector, rate, False)
+    assert not _certifies(method, sector, rho * (1.0 + 1e-12), False)
 
 
 def test_coefficient_maps_find_no_roots(monkeypatch):

@@ -137,8 +137,11 @@ def test_complementary_sensitivity_gd_at_one_over_L():
 
 
 def test_complementary_sensitivity_zero_shift_is_identity():
-    k = build_transfer(MethodSpec("ogd", eta=0.2))
-    assert complementary_sensitivity(k, 0.0) is k
+    # den - 0 num over a leading 1 returns every coefficient unchanged, also
+    # where num reaches den's degree
+    for method in (MethodSpec("ogd", eta=0.2), MethodSpec("pp", eta=0.5)):
+        k = build_transfer(method)
+        assert complementary_sensitivity(k, 0.0) == k
 
 
 def test_rho_scale_shifts_the_gd_pole():
