@@ -218,8 +218,10 @@ def max_learning_rate(
     where the curve d1/(eta n1) of K1 = n1/d1 touches the disk outside which
     the loop certifies; a root of the loop crossing the circle puts the
     curve at h, inside it. Those steps, :func:`~freqcert.gain.step_margin`,
-    split (0, cap] into gaps certified throughout or nowhere: at a spurious
-    one the gain equals the threshold, so it lies in no certified interval.
+    split (0, cap] into gaps certified throughout or nowhere. It drops a
+    touch at which another frequency's curve is inside the disk, which
+    merges two gaps certified nowhere; at a spurious touch it keeps, the
+    gain equals the threshold, so that touch lies in no certified interval.
     The cap lies in the top gap, so its failed probe settles that gap. The
     search then probes each lower gap's middle from the top down, from the
     gap below the last touch under the cap (None at once when no touch lies

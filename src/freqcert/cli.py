@@ -1,13 +1,14 @@
 """Command-line interface: certification, sweeps, and CSV/JSON emitters.
 
 Exit codes: 0 for success (certify: certified), 2 for a completed analysis
-with a negative verdict, 1 for input or I/O errors. CSV output uses '.'
-decimals and 17 significant digits so repeated runs are byte-identical.
+with a negative verdict, 1 for input, usage or I/O errors. CSV output uses
+'.' decimals and 17 significant digits so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -167,7 +168,10 @@ def cmd_equivalence(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use. Each ``parse_args``
+    returns a fresh Namespace, so no state passes from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="freqcert",
         description="Frequency-domain convergence certification for first-order methods",
@@ -219,8 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 after printing a usage error;
+        # 2 is this CLI's "uncertified", so a usage error returns 1
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
     # ArithmeticError: a pole hit or a loop beyond the float range

@@ -141,7 +141,7 @@ def level_radius(k: RationalTF, gamma: float, cap: float = math.inf) -> float:
 
 
 def step_margin(unit: RationalTF, rho: float, h: float, r: float) -> list[float]:
-    """Every step size e > 0, sorted, at which the loop e * unit, shifted by
+    """The step sizes e > 0, sorted, at which the loop e * unit, shifted by
     h and scaled by rho, may start or stop reaching the gain 1/r on |z| = rho.
 
     With unit = n1/d1, that gain is reached where d1(z) / (e n1(z)) meets the
@@ -151,9 +151,13 @@ def step_margin(unit: RationalTF, rho: float, h: float, r: float) -> list[float]
     of a root e(x): at x = -1, x = 1 or a common root of G and dG/dx, where
     their resultant in e, (a1 c2 - a2 c1)^2 - (a1 b2 - a2 b1)(b1 c2 - b2 c1)
     with a2, b2, c2 the x-derivatives, vanishes. Both roots e at every
-    candidate x (:func:`_candidates`) are returned; at a spurious one the
-    gain is still reached at that frequency. h and r are scaled by one power
-    of two and n1 by another (:func:`_scaled_loop`)."""
+    candidate x (:func:`_candidates`) are touches. G < 0 puts d1/(e n1)
+    inside the disk, where the gain exceeds 1/r. A touch at which some
+    candidate x has G(x, e) < -1e-9 (|a1| e^2 + |b1| e + |c1|) is dropped:
+    the gain exceeds 1/r on both sides of it, so the verdict cannot change
+    there. Every touch where it can change is kept; at a spurious one kept,
+    the gain is still reached at that frequency. h and r are scaled by one
+    power of two and n1 by another (:func:`_scaled_loop`)."""
     s = math.frexp(h)[1]
     hs, rs = math.ldexp(h, -s), math.ldexp(r, -s)
     t, n1, d1 = _scaled_loop(unit.num, unit.den, rho)
@@ -169,13 +173,20 @@ def step_margin(unit: RationalTF, rho: float, h: float, r: float) -> list[float]
     a = (hs - rs) * (hs + rs) * abs(n) ** 2
     b = -2.0 * hs * (d * n.conj()).real
     c = abs(d) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # both roots of a u^2 + b u + c without cancellation; a = 0 leaves the
         # linear root -c/b as c/q and q/a infinite. A complex pair gives NaN
         q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
-        es = np.ldexp(np.concatenate((q / a, c / q)), -(s + t))
+        us = np.concatenate((q / a, c / q))
+        es = np.ldexp(us, -(s + t))
+        touch = np.isfinite(es) & (es > 0)
+        u = us[touch]
+        # G at every (candidate, touch); NaN from an overflow keeps the touch
+        g = (a[:, None] * u + b[:, None]) * u + c[:, None]
+        slack = 1e-9 * ((abs(a)[:, None] * u + abs(b)[:, None]) * u + c[:, None])
+        touch[touch] = ~(g < -slack).any(axis=0)
     # Python floats, so that a caller's e * c overflows to inf without a warning
-    return np.unique(es[np.isfinite(es) & (es > 0)]).tolist()
+    return np.unique(es[touch]).tolist()
 
 
 def hinf_norm(k: RationalTF) -> tuple[float, float]:

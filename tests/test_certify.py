@@ -476,6 +476,29 @@ def test_max_learning_rate_gives_up_after_one_probe_per_gap(method, sector, monk
     assert len(scales) == len(edges) - 1 <= 7
 
 
+def test_max_learning_rate_probes_few_gaps_on_long_horizons(monkeypatch):
+    # step_margin drops the touches at which some frequency is clearly inside
+    # the disk, so long horizons leave few gaps to probe. Keeping every touch,
+    # this corpus took up to 20 probes per search; pruned, it takes 6
+    rng = np.random.default_rng(19)
+    scales = _count_calls(monkeypatch, certify_mod, "rho_scale")
+    most = 0
+    for i in range(20):
+        n = int(rng.integers(6, 13))
+        eta = float(rng.uniform(0.02, 0.3))
+        a = tuple(map(float, rng.dirichlet(np.ones(n))))
+        if i % 2:
+            b = tuple(map(float, rng.dirichlet(np.ones(n))))
+            method = MethodSpec("general", eta=eta, a=a, b=b)
+        else:
+            method = MethodSpec("hgd", eta=eta, a=a)
+        for delta in (0.0, 0.04, 0.1):
+            scales.clear()
+            max_learning_rate(method, SectorParams(0.5, 4.0, delta))
+            most = max(most, len(scales))
+    assert most <= 6
+
+
 @pytest.mark.parametrize("delta", [0.0, 0.04])
 def test_max_learning_rate_is_the_largest_certified_step(delta, family_corpus):
     # no step certifies above the returned one: not the cap, and not at a

@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
+from freqcert import cli
 from freqcert.cli import main
 from freqcert.certify import CertificationResult
 from freqcert.operators import (
@@ -121,6 +123,9 @@ def test_certify_improper_flag(tmp_path, capsys):
     capsys.readouterr()
     assert main(["certify", "--config", cfg, "--allow-improper"]) == 0
     capsys.readouterr()
+    # the flag does not outlive its call
+    assert main(["certify", "--config", cfg]) == 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("flag, code", [(True, 0), (False, 2), ("false", 1), (0, 1), (1, 1)])
@@ -197,6 +202,53 @@ def test_sweep_rows_and_determinism(tmp_path):
             assert verdict != "uncertified"
         else:
             assert verdict == "uncertified"
+
+
+def _sweep_args(tmp_path, steps="2"):
+    cfg = _write(
+        tmp_path,
+        "sweep.json",
+        {"method": {"family": "gd", "eta": 0.1}, "sector": {"mu": 0.5, "L": 4}},
+    )
+    return ["sweep", "--config", cfg, "--eta-min", "0.1", "--eta-max", "0.2",
+            "--eta-steps", steps, "--out", str(tmp_path / "out.csv")]
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
+    # argparse would exit 2, which this CLI keeps for "uncertified"
+    assert main(["sweep", "--config", "x"]) == 1
+    assert "the following arguments are required: --eta-min" in capsys.readouterr().err
+    assert main(_sweep_args(tmp_path, steps="2.5")) == 1
+    assert "argument --eta-steps: invalid int value: '2.5'" in capsys.readouterr().err
+    assert main([]) == 1
+    assert "usage: freqcert" in capsys.readouterr().err
+    # a failed parse leaves nothing behind for the next call
+    assert main(_sweep_args(tmp_path)) == 0
+    assert len((tmp_path / "out.csv").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: freqcert")
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()  # so that the first call below builds it
+    assert main(_sweep_args(tmp_path)) == 0
+    assert built
+    built.clear()
+    assert main(_sweep_args(tmp_path)) == 0
+    assert main(["sweep", "--config", "x"]) == 1
+    assert built == []
 
 
 def test_sweep_rejects_empty_grid(tmp_path):
