@@ -142,6 +142,21 @@ def _rungs(edge: float, stop: float) -> list[float]:
     return [r for r in rungs if (stop - r) * s > 0.0]
 
 
+def _refine(certified, bad: float, rungs: list[float], stop: float, width: float) -> float | None:
+    """The confirming half of both searches: the first of ``rungs``, a
+    ladder stepping from the uncertified edge ``bad`` toward ``stop``, that
+    certifies. Should none, and ``stop`` certifies, :func:`_bisect` brackets
+    the answer between ``stop`` and the last rung (``bad`` when there is no
+    rung) to ``width``; None when ``stop`` fails too."""
+    for rung in rungs:
+        if certified(rung):
+            return rung
+        bad = rung
+    if not certified(stop):
+        return None
+    return _bisect(certified, stop, bad, width)
+
+
 def best_rate(
     method: MethodSpec,
     sector: SectorParams,
@@ -164,16 +179,13 @@ def best_rate(
     So the level set decides the search before any probe. rho* is computed
     up to the cap ``RHO_PROBE``; when it reaches the cap, nothing certifies
     at ``RHO_PROBE`` and the search returns None without a probe. Otherwise
-    it probes a ladder of rates just above rho*, rho* (1 + 1e-12 8^k) for
-    k = 0 .. 6, each strictly below ``RHO_PROBE`` (:func:`_rungs`), and
-    returns the first that certifies (``RHO_TOL`` when rho* lies below it),
-    so the returned rate has passed a probe: one probe on every certified
-    search the benchmark runs. Should every rung fail, the search makes its
-    only probe at ``RHO_PROBE``, returns None if that fails too, and else
-    :func:`_bisect` brackets the rate between the last rung (or rho*, when
-    no rung lies below ``RHO_PROBE``) and ``RHO_PROBE``; that bracket is
-    already narrower than ``RHO_TOL`` when the ladder stopped short of
-    ``RHO_PROBE``, and ``RHO_PROBE`` is returned at once. The shifted loop is
+    :func:`_refine` confirms it from above: the ladder rho* (1 + 1e-12 8^k),
+    k = 0 .. 6, each rung strictly below ``RHO_PROBE`` (:func:`_rungs`), or
+    ``RHO_TOL`` alone when rho* lies below it, with ``RHO_PROBE`` as the
+    fallback's stop. The returned rate has passed a probe: one probe on
+    every certified search the benchmark runs. When the ladder stopped short
+    of ``RHO_PROBE``, the fallback's bracket is already narrower than
+    ``RHO_TOL`` and ``RHO_PROBE`` is returned at once. The shifted loop is
     built once; each probe only rescales it by rho and runs the stability
     and gain checks, exactly as :func:`certify` would. A loop with a
     coefficient beyond the float range is uncertified, as every probe of it
@@ -192,13 +204,8 @@ def best_rate(
     rho = level_radius(shifted, threshold, cap=RHO_PROBE)
     if rho >= RHO_PROBE:
         return None
-    bad = rho  # rho* does not certify; the ladder is empty within 1e-12 of RHO_PROBE
-    for bad in [RHO_TOL] if rho < RHO_TOL else _rungs(rho, RHO_PROBE):
-        if certified(bad):
-            return bad
-    if not certified(RHO_PROBE):
-        return None
-    return _bisect(certified, RHO_PROBE, bad, RHO_TOL)
+    rungs = [RHO_TOL] if rho < RHO_TOL else _rungs(rho, RHO_PROBE)
+    return _refine(certified, rho, rungs, RHO_PROBE, RHO_TOL)
 
 
 def max_learning_rate(
@@ -207,8 +214,8 @@ def max_learning_rate(
     allow_improper: bool = False,
 ) -> float | None:
     """Largest step size whose method still certifies at ``RHO_PROBE``, up to
-    a relative 2.6e-7 below the exact one (or width 1e-6 / L when the search
-    falls back to bisection). ``method`` acts as a template; its ``eta``
+    a relative 2.6e-7 below the exact one (or width 1e-6 / L in the
+    fallback of :func:`_refine`). ``method`` acts as a template; its ``eta``
     field is swept over (0, 4/mu], a cap clamped to the largest float when a
     subnormal mu overflows it. Returns None when no step size certifies.
 
@@ -225,11 +232,11 @@ def max_learning_rate(
     The cap lies in the top gap, so its failed probe settles that gap. The
     search then probes each lower gap's middle from the top down, from the
     gap below the last touch under the cap (None at once when no touch lies
-    below the cap), then the ladder e* (1 - 1e-12 8^k), k = 0 .. 6, above
-    that middle (:func:`_rungs`), from the upper edge e* of the first gap
-    that certifies. It returns the first step that certifies, so the
-    returned step has passed a probe. Should no rung certify,
-    :func:`_bisect` brackets the step between the middle and the last rung."""
+    below the cap). From the upper edge e* of the first gap whose middle
+    certifies, :func:`_refine` confirms the step from below: the ladder
+    e* (1 - 1e-12 8^k), k = 0 .. 6, above that middle (:func:`_rungs`),
+    with the middle as the fallback's stop. The returned step has passed a
+    probe."""
     if method.eta is None:
         raise ValueError("method family must carry a learning-rate field")
     unit = build_transfer(replace(method, eta=1.0))
@@ -253,11 +260,7 @@ def max_learning_rate(
             break
     else:
         return None
-    for rung in _rungs(bad, eta):
-        if certifiable(rung):
-            return rung
-        bad = rung
-    return _bisect(certifiable, eta, bad, 1e-6 / sector.L)
+    return _refine(certifiable, bad, _rungs(bad, eta), eta, 1e-6 / sector.L)
 
 
 def _close(x: float, y: float) -> bool:

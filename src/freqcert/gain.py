@@ -57,17 +57,13 @@ def _scaled_num(num):
     return e, np.array([math.ldexp(c, -e) for c in num])
 
 
-def _scaled_loop(num, den, rho: float = 1.0):
+def _scaled_loop(num, den):
     """(e, n, d): n is :func:`_scaled_num`'s num, padded to den's length so
-    that the profiles align; d is den; both are multiplied by rho^i, which
-    at rho = 1 is skipped, since x * 1.0 == x."""
+    that the profiles align; d is den as an array."""
     e, scaled = _scaled_num(num)
     n = np.zeros(len(den))
     n[: len(num)] = scaled
-    if rho == 1.0:
-        return e, n, np.array(den)
-    powers = rho ** np.arange(len(den))
-    return e, n * powers, np.array(den) * powers
+    return e, n, np.array(den)
 
 
 def _chebroots(series):
@@ -105,21 +101,20 @@ def level_radius(k: RationalTF, gamma: float, cap: float = math.inf) -> float:
     of a polynomial in r. Numerator and gamma are scaled by one power of two
     (:func:`_scaled_loop`).
 
-    r only grows, so the search returns an r >= ``cap`` as soon as it
-    reaches one, mid-pass included: a caller that only asks whether
-    rho* < cap gets its answer early. Below the cap the passes, and the
-    result, are those of the uncapped call. Where the scaled gamma squared
-    overflows, |D| <= |N| / gamma holds only within rounding of D's roots,
-    and r, their largest magnitude, is returned."""
+    r only grows, so the search stops at an r >= ``cap`` as soon as it
+    reaches one, before the first pass or mid-pass: a caller that only asks
+    whether rho* < cap gets its answer early. Below the cap the passes, and
+    the result, are those of the uncapped call. Where the scaled gamma
+    squared overflows, |D| <= |N| / gamma holds only within rounding of D's
+    roots, and r, their largest magnitude, is returned."""
     r = spectral_radius_poly(k.den)
-    if r >= cap:
-        return r
     e, num, den = _scaled_loop(k.num, k.den)
     try:
         g2 = math.ldexp(gamma, -e) ** 2
     except OverflowError:
         return r
-    while True:
+    prev = -1.0
+    while prev * (1.0 + 1e-15) < r < cap:  # r grew in the last pass, and is below the cap
         powers = r ** np.arange(den.size)
         s = cos_power_profile(num * powers) - g2 * cos_power_profile(den * powers)
         xs = _chebroots(s)
@@ -135,9 +130,8 @@ def level_radius(k: RationalTF, gamma: float, cap: float = math.inf) -> float:
             rs = np.roots((np.convolve(a, a.conj()).real - g2 * np.convolve(b, b.conj()).real)[::-1])
             r = max(r, rs.real[(abs(rs.imag) <= 1e-9) & (rs.real > 0)].max(initial=0.0))
             if r >= cap:
-                return float(r)
-        if not omegas or r <= prev * (1.0 + 1e-15):
-            return float(r)
+                break
+    return float(r)
 
 
 def step_margin(unit: RationalTF, rho: float, h: float, r: float) -> list[float]:
@@ -160,7 +154,9 @@ def step_margin(unit: RationalTF, rho: float, h: float, r: float) -> list[float]
     power of two and n1 by another (:func:`_scaled_loop`)."""
     s = math.frexp(h)[1]
     hs, rs = math.ldexp(h, -s), math.ldexp(r, -s)
-    t, n1, d1 = _scaled_loop(unit.num, unit.den, rho)
+    t, n1, d1 = _scaled_loop(unit.num, unit.den)
+    powers = rho ** np.arange(d1.size)
+    n1, d1 = n1 * powers, d1 * powers
     # the series of G in u = e 2^(s + t), the step size the scaled h and n1 see
     a1 = (hs - rs) * (hs + rs) * cos_power_profile(n1)
     b1 = -2.0 * hs * cross_profile(d1, n1)

@@ -334,14 +334,6 @@ def test_query_rho_must_be_a_finite_number(rho, message):
     assert query.rho == 0.5 and type(query.rho) is float
 
 
-def _shifted_pole_radius(method, sector):
-    # poles of K/(1 - hK) straight from the build_transfer coefficients
-    k = build_transfer(method)
-    den = np.array(k.den)
-    den[: len(k.num)] -= (sector.mu + sector.L) / 2.0 * np.asarray(k.num)
-    return float(np.max(np.abs(np.roots(den[::-1]))))
-
-
 GENERAL_TRIM_REPRO = MethodSpec(
     "general",
     eta=0.010074100626863966,
@@ -520,6 +512,47 @@ def test_max_learning_rate_is_the_largest_certified_step(delta, family_corpus):
                 assert not certifiable(lo + frac * (top - lo)), (method, step, lo, top)
                 checked += 1
     assert checked > 50
+
+
+@pytest.mark.parametrize(
+    "method, step",
+    [
+        (MethodSpec("gd", eta=0.1), 0.49999961210918165),
+        (MethodSpec("ogd", eta=0.1), 0.16666640235493646),
+        (MethodSpec("pegd", eta=0.1), 0.16666640235493646),
+    ],
+)
+def test_max_learning_rate_falls_back_to_bisection_when_every_rung_fails(
+    monkeypatch, method, step
+):
+    # touches moved up by a relative 1e-5 put every rung, at most 2.6e-7
+    # below its edge, above the exact step: each fails, and the search
+    # bisects between the gap's middle and the last rung to width 1e-6 / L
+    exact = max_learning_rate(method, SECTOR)
+    monkeypatch.setattr(certify_mod, "step_margin",
+                        lambda *args: [e * (1.0 + 1e-5) for e in step_margin(*args)])
+    bisections = _count_calls(monkeypatch, certify_mod, "_bisect")
+    got = max_learning_rate(method, SECTOR)
+    assert got == step
+    assert len(bisections) == 1
+    assert _certifies(replace(method, eta=got), SECTOR, RHO_PROBE, False)
+    assert 0.0 < exact - got <= 1e-6 / SECTOR.L
+
+
+def test_max_learning_rate_needs_a_step_size_field():
+    with pytest.raises(ValueError, match="^method family must carry a learning-rate field$"):
+        max_learning_rate(MethodSpec("gogd", alpha=0.1, beta=0.05), SECTOR)
+
+
+def test_best_rate_rejects_an_improper_loop_before_the_level_set(monkeypatch):
+    # pp's K is not strictly proper: without the flag the search returns
+    # None before it reads the level set or makes a probe
+    radii = _count_calls(monkeypatch, certify_mod, "level_radius")
+    probes = _count_calls(monkeypatch, certify_mod, "_certified_at")
+    assert best_rate(MethodSpec("pp", eta=0.1), SECTOR) is None
+    assert radii == [] and probes == []
+    assert best_rate(MethodSpec("pp", eta=0.1), SECTOR, allow_improper=True) is not None
+    assert len(radii) == 1 and len(probes) == 1
 
 
 def test_max_learning_rate_returns_the_pp_cap_after_one_probe(monkeypatch):

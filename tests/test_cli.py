@@ -267,6 +267,46 @@ def test_sweep_rejects_empty_grid(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, method, message",
+    [
+        pytest.param(["sweep", "--eta-min", "0.1", "--eta-max", "0.2", "--eta-steps", "2"],
+                     {"family": "gogd", "alpha": 0.1, "beta": 0.05},
+                     "sweep requires a method family with an eta field", id="sweep-no-eta"),
+        pytest.param(["sweep", "--eta-min", "0.2", "--eta-max", "0.1", "--eta-steps", "2"],
+                     {"family": "gd", "eta": 0.1},
+                     "need 0 < eta-min <= eta-max", id="sweep-eta-order"),
+        pytest.param(["spectrum", "--s-min", "0.1", "--s-max", "1.0", "--points", "1"], None,
+                     "need at least 2 points", id="spectrum-one-point"),
+        pytest.param(["spectrum", "--s-min", "1.0", "--s-max", "1.0", "--points", "5"], None,
+                     "need 0 < s-min < s-max", id="spectrum-empty-range"),
+    ],
+)
+def test_grid_options_are_checked_before_any_output(tmp_path, capsys, argv, method, message):
+    out = tmp_path / "out.csv"
+    argv = argv + ["--out", str(out)]
+    if method is not None:
+        cfg = {"method": method, "sector": {"mu": 0.5, "L": 4}}
+        argv += ["--config", _write(tmp_path, "c.json", cfg)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_reports_a_diverged_trajectory(tmp_path, capsys):
+    # gd at eta = 1 on the spectrum [0.5, 4] multiplies x1 by -3 a step; the
+    # rows up to the divergence are still written, and the run exits 0
+    cfg = _write(tmp_path, "div.json", {
+        "method": {"family": "gd", "eta": 1.0},
+        "operator": {"kind": "diagonal-quadratic", "spectrum": [0.5, 4.0]},
+        "x0": [1.0, 1.0],
+    })
+    out = tmp_path / "div.csv"
+    assert main(["simulate", "--config", cfg, "--steps", "100", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "trajectory diverged\n"
+    assert 2 < len(out.read_text().splitlines()) < 102
+
+
 def test_nyquist_marks_outside_samples(tmp_path):
     cfg = _write(
         tmp_path,

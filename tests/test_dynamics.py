@@ -210,6 +210,19 @@ def test_unknown_noise_strategies_are_rejected():
             NoiseAdversary(name, 0.1)
 
 
+@pytest.mark.parametrize(
+    "x0, steps, mode, message",
+    [
+        ([1.0, 1.0], 0, "simultaneous", "steps must be positive"),
+        ([1.0], 5, "simultaneous", "x0 dimension mismatch"),
+        ([1.0, 1.0], 5, "sideways", "unknown mode 'sideways'"),
+    ],
+)
+def test_run_rejects_malformed_arguments(x0, steps, mode, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(MethodSpec("gd", eta=0.2), diagonal_quadratic([0.5, 4.0]), x0, steps, mode=mode)
+
+
 def test_rotate_in_one_dimension_is_inert():
     assert_allclose(apply_noise(NoiseAdversary("rotate", 0.5), [3.0], 0), [3.0])
 
@@ -511,6 +524,7 @@ def test_noise_seed_must_be_a_nonnegative_integer(strategy, seed):
     (float("inf"), "delta must be finite"),
     ("0.1", "delta must be a JSON number, not '0.1'"),
     (True, "delta must be a JSON number, not True"),
+    (-0.1, "delta must be nonnegative"),
 ])
 def test_noise_delta_must_be_a_finite_number(delta, message):
     # a nan delta used to construct and make run report divergence at step 1

@@ -198,3 +198,5 @@ def test_invalid_inputs():
         spectrum_curve("alt", [0.0])
     with pytest.raises(ValueError):
         spectrum_curve("diagonal", [0.5])
+    with pytest.raises(ValueError, match="^unknown mode 'diag'$"):
+        bilinear_threshold("diag", BilinearGame.from_matrix([[1.0]]))

@@ -3,6 +3,7 @@ its workloads call library names; a rename in the library must fail here, not
 only in a benchmark run."""
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -79,16 +80,21 @@ def test_workloads_build_and_one_op_of_each_kind_passes_its_check(tmp_path):
         assert op.check(op.call()) is None, op.label
 
 
-def test_op_outputs_prints_every_op_and_exits_1_on_a_failed_check(monkeypatch, capsys):
-    # op_outputs pins BLAS threads and puts src/ and perfbench/ on the path
-    # as it loads; both are restored after the test
+def _load_tool(monkeypatch, stem):
+    # the tools pin BLAS threads and put src/ (and perfbench/ or tests/) on
+    # the path as they load; both are restored after the test
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
     monkeypatch.setattr(sys, "path", list(sys.path))
-    path = ROOT / "tools" / "op_outputs.py"
-    spec = importlib.util.spec_from_file_location("freqcert_op_outputs", path)
+    path = ROOT / "tools" / f"{stem}.py"
+    spec = importlib.util.spec_from_file_location(f"freqcert_{stem}", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_op_outputs_prints_every_op_and_exits_1_on_a_failed_check(monkeypatch, capsys):
+    tool = _load_tool(monkeypatch, "op_outputs")
 
     def op(label, out):
         check = lambda got: None if got == 1.0 else "off"
@@ -108,3 +114,25 @@ def test_op_outputs_prints_every_op_and_exits_1_on_a_failed_check(monkeypatch, c
         "step_sweep 1 1 d | 0x1.0000000000000p+0 | ok",
         "simulate 1 0 c | 0x1.0000000000000p+0 | ok",
     ]
+
+
+def test_search_outputs_prints_every_search_and_restores_the_probe(monkeypatch, capsys):
+    tool = _load_tool(monkeypatch, "search_outputs")
+    certify_mod = tool.certify_mod
+    probe = certify_mod._certified_at
+    monkeypatch.setattr(certify_mod, "_certified_at", probe)  # put back even if main does not
+    monkeypatch.setattr(tool, "FAMILY_SEEDS", (1,))
+    monkeypatch.setattr(tool, "GENERATED", 4)
+    monkeypatch.setattr(tool, "TEMPLATES", 5)
+    assert tool.main() == 0
+    assert certify_mod._certified_at is probe
+    lines = capsys.readouterr().out.splitlines()
+    line = re.compile(r"(best_rate|max_learning_rate) (family1|generated|templates) (\d+) "
+                      r"([a-z]+) \| (None|-?0x[0-9a-f.]+p[+-]\d+|raised .+) \| (\d+)")
+    fields = [line.fullmatch(text).groups() for text in lines]
+    searched = {(corpus, int(i)) for search, corpus, i, *_ in fields if search == "best_rate"}
+    families = len(tool._family_corpus(1)) * len(tool.DELTAS)
+    assert searched == {("family1", i) for i in range(families)} | {
+        ("generated", i) for i in range(4)} | {("templates", i) for i in range(5)}
+    assert fields[0][:4] == ("best_rate", "family1", "0", "gd")
+    assert any(int(probes) > 0 for *_, probes in fields)

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -100,6 +101,26 @@ def test_general_historical_reduces_to_hgd():
 def test_general_historical_rejects_unnormalized_iterate_weights():
     with pytest.raises(ValueError):
         MethodSpec("general", eta=0.2, a=(2.0, -1.0), b=(0.5, 0.4))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: MethodSpec("gd"), "gd requires field 'eta'", id="gd-no-eta"),
+        pytest.param(lambda: MethodSpec("general", eta=0.2, a=(1.0, 0.0), b=(1.0,)),
+                     "a and b must share the horizon length", id="general-horizons"),
+    ],
+)
+def test_method_spec_rejects_missing_and_mismatched_fields(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.5, 1.5])
+def test_rho_scale_rejects_a_rho_outside_the_unit_interval(rho):
+    k = build_transfer(MethodSpec("gd", eta=0.3))
+    with pytest.raises(ValueError, match=re.escape("rho must lie in (0, 1]")):
+        rho_scale(k, rho)
 
 
 def test_strict_properness_by_family():

@@ -21,7 +21,7 @@ The corpus, all from fixed seeds:
 
 Each line holds the search, the corpus and index, the method family, the
 answer as ``float.hex`` (or None, or the exception it raised) and the probes
-made, counted by wrapping ``certify._certified_at`` inside this tool only.
+made, counted by wrapping ``certify._certified_at`` while ``main`` runs.
 When the first two ``|``-separated columns of two checkouts compare equal
 (``cut -d'|' -f1,2``, then ``cmp``), both return the same answers, bit for
 bit, on every search; the last column compares their probe counts.
@@ -111,19 +111,22 @@ def main() -> int:
         return certified_at(*args)
 
     certify_mod._certified_at = counted
-    index = {}
-    for name, method, sector, allow in corpus():
-        i = index[name] = index.get(name, -1) + 1
-        for search in (certify_mod.best_rate, certify_mod.max_learning_rate):
-            if search is certify_mod.max_learning_rate and method.eta is None:
-                continue
-            probes.clear()
-            try:
-                out = search(method, sector, allow_improper=allow)
-                answer = "None" if out is None else float.hex(out)
-            except Exception as exc:  # recorded, so two checkouts compare it too
-                answer = f"raised {type(exc).__name__}: {exc}"
-            print(f"{search.__name__} {name} {i} {method.family} | {answer} | {len(probes)}")
+    try:
+        index = {}
+        for name, method, sector, allow in corpus():
+            i = index[name] = index.get(name, -1) + 1
+            for search in (certify_mod.best_rate, certify_mod.max_learning_rate):
+                if search is certify_mod.max_learning_rate and method.eta is None:
+                    continue
+                probes.clear()
+                try:
+                    out = search(method, sector, allow_improper=allow)
+                    answer = "None" if out is None else float.hex(out)
+                except Exception as exc:  # recorded, so two checkouts compare it too
+                    answer = f"raised {type(exc).__name__}: {exc}"
+                print(f"{search.__name__} {name} {i} {method.family} | {answer} | {len(probes)}")
+    finally:
+        certify_mod._certified_at = certified_at  # later callers in the process probe uncounted
     return 0
 
 
