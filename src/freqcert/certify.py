@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -235,8 +236,8 @@ def max_learning_rate(
     below the cap). From the upper edge e* of the first gap whose middle
     certifies, :func:`_refine` confirms the step from below: the ladder
     e* (1 - 1e-12 8^k), k = 0 .. 6, above that middle (:func:`_rungs`),
-    with the middle as the fallback's stop. The returned step has passed a
-    probe."""
+    with the middle as the fallback's stop. Probes are cached, so no step is
+    probed twice. The returned step has passed a probe."""
     if method.eta is None:
         raise ValueError("method family must carry a learning-rate field")
     unit = build_transfer(replace(method, eta=1.0))
@@ -245,6 +246,7 @@ def max_learning_rate(
     h = _shift(sector)
     threshold = gain_threshold(sector)
 
+    @cache  # _refine's fallback asks again for the gap middle that certified
     def certifiable(eta: float) -> bool:
         k = RationalTF(tuple(eta * c for c in unit.num), unit.den)
         return _certified_at(complementary_sensitivity(k, h), RHO_PROBE, threshold)[0]

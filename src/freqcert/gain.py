@@ -14,7 +14,7 @@ import math
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
-from .stability import horner, is_schur, spectral_radius_poly
+from .stability import horner, is_schur, spectral_radius_poly, trim
 from .transfer import RationalTF
 
 # Unused here; kept bound because perfbench/tracer.py's grid_points counter reads them.
@@ -77,7 +77,7 @@ def _chebroots(series):
     that leave with it lie far outside [-1, 1]. A series that is not finite
     is passed on whole, so chebroots still raises on it."""
     top = np.abs(series).max()
-    return C.chebroots(C.chebtrim(series, 1e-14 * top) if np.isfinite(top) else series)
+    return C.chebroots(trim(series, 1e-14 * top) if np.isfinite(top) else series)
 
 
 def _candidates(series, n, d):
@@ -117,8 +117,10 @@ def level_radius(k: RationalTF, gamma: float, cap: float = math.inf) -> float:
     while prev * (1.0 + 1e-15) < r < cap:  # r grew in the last pass, and is below the cap
         powers = r ** np.arange(den.size)
         s = cos_power_profile(num * powers) - g2 * cos_power_profile(den * powers)
+        # every root splits [-1, 1], a complex one too: the sign at each
+        # piece's middle decides whether that piece is in the level set
         xs = _chebroots(s)
-        xs = np.array(sorted({-1.0, 1.0, *np.clip(xs.real[abs(xs.imag) <= 1e-9], -1.0, 1.0)}))
+        xs = np.array(sorted({-1.0, 1.0, *np.clip(xs.real, -1.0, 1.0)}))
         keep = C.chebval(0.5 * (xs[:-1] + xs[1:]), s) >= 0
         omegas = [0.5 * (math.acos(a) + math.acos(b)) for a, b in zip(xs[:-1][keep], xs[1:][keep])]
         # an arc through x = 1 or -1 is centred at omega = 0 or pi; its half's

@@ -39,10 +39,7 @@ def roots(p) -> list[complex]:
     handled here (low degree, moderate coefficients). Degree-0 input yields
     an empty list.
     """
-    p = trim(p)
-    if len(p) < 2:
-        return []
-    rts = np.roots(p[::-1])
+    rts = np.roots(trim(p)[::-1])
     return sorted((complex(r) for r in rts), key=lambda r: (r.real, r.imag))
 
 
@@ -64,4 +61,4 @@ def is_schur(p) -> bool:
     the Schur coefficient recursion.
     """
     radius = spectral_radius_poly(p)
-    return radius < 1.0 and abs(radius - 1.0) > MARGINAL_ROOT_BAND
+    return 1.0 - radius > MARGINAL_ROOT_BAND

@@ -269,8 +269,6 @@ def tf_equal(a: RationalTF, b: RationalTF) -> bool:
     pa = np.pad(pa, (0, n - pa.size))
     pb = np.pad(pb, (0, n - pb.size))
     scale = max(np.max(np.abs(pa)), np.max(np.abs(pb)))
-    if scale == 0.0:
-        return True
     return bool(np.max(np.abs(pa - pb)) <= EQUAL_TOL * scale)
 
 

@@ -187,6 +187,17 @@ def test_closed_form_regimes():
     assert closed_form(MethodSpec("ogd", eta=1.0), SECTOR) is None
 
 
+def test_closed_form_is_none_outside_every_regime():
+    noisy = SectorParams(mu=0.5, L=4.0, delta=0.05)
+    # gd at neither step; ogd under noise away from eta = 1/(2L); gogd at
+    # alpha = 1/(2L) with 2 L beta above 1, and at neither alpha; pp under noise
+    assert closed_form(MethodSpec("gd", eta=0.1), noisy) is None
+    assert closed_form(MethodSpec("ogd", eta=0.1), noisy) is None
+    assert closed_form(MethodSpec("gogd", alpha=0.125, beta=0.2), SECTOR) is None
+    assert closed_form(MethodSpec("gogd", alpha=0.1, beta=0.05), SECTOR) is None
+    assert closed_form(MethodSpec("pp", eta=0.5), noisy) is None
+
+
 def test_closed_form_noisy_regimes():
     noisy = SectorParams(mu=0.5, L=4.0, delta=0.05)
     assert_allclose(
@@ -532,9 +543,20 @@ def test_max_learning_rate_falls_back_to_bisection_when_every_rung_fails(
     monkeypatch.setattr(certify_mod, "step_margin",
                         lambda *args: [e * (1.0 + 1e-5) for e in step_margin(*args)])
     bisections = _count_calls(monkeypatch, certify_mod, "_bisect")
+    probed = []
+    certified_at = certify_mod._certified_at
+
+    def recorded(shifted, *args):
+        probed.append(shifted.num)
+        return certified_at(shifted, *args)
+
+    monkeypatch.setattr(certify_mod, "_certified_at", recorded)
     got = max_learning_rate(method, SECTOR)
     assert got == step
     assert len(bisections) == 1
+    # the fallback's stop is the gap middle the walk saw certify: no step is
+    # probed twice
+    assert len(set(probed)) == len(probed)
     assert _certifies(replace(method, eta=got), SECTOR, RHO_PROBE, False)
     assert 0.0 < exact - got <= 1e-6 / SECTOR.L
 

@@ -319,6 +319,14 @@ def test_run_copies_its_start_point():
         assert np.array_equal(t.points[0], before[0])
 
 
+def test_an_implicit_step_that_does_not_settle_raises(monkeypatch):
+    # scalar-noncvx has no linear map, so pp takes the damped iteration;
+    # one iteration from x0 = 1 leaves the residual at eta F(1)
+    monkeypatch.setattr(importlib.import_module("freqcert.dynamics"), "IMPLICIT_MAX_ITER", 1)
+    with pytest.raises(RuntimeError, match="^implicit step did not reach the residual tolerance$"):
+        run(MethodSpec("pp", eta=0.5), scalar_noncvx(), [1.0], 5)
+
+
 def _evaluation_points(monkeypatch, *args):
     """The points the operator evaluations of ``run(*args)`` receive, in order."""
     dynamics = importlib.import_module("freqcert.dynamics")

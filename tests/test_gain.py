@@ -8,6 +8,7 @@ import pytest
 from numpy.polynomial import chebyshev as C
 from numpy.testing import assert_allclose
 
+from conftest import _refined_gain
 from freqcert.certify import RHO_PROBE
 from freqcert.gain import cos_power_profile, cross_profile, hinf_norm, step_margin
 from freqcert.stability import spectral_radius_poly
@@ -365,39 +366,6 @@ def test_gain_is_within_the_horner_floor_of_the_reference(family_corpus):
             assert abs(gain - want) <= (1e-10 + eps * kappa) * want, (method, frac)
             checked += 1
     assert checked == 72
-
-
-def _refined_gain(k):
-    """sup |K| on the unit circle from below: the largest of 4001 float
-    samples in [0, pi], each of the three largest refined by golden-section
-    search at 30 digits between its neighbours."""
-    ws = np.linspace(0.0, np.pi, 4001)
-    z = np.exp(1j * ws)
-    samples = np.abs(np.polynomial.polynomial.polyval(z, k.num) / np.polynomial.polynomial.polyval(z, k.den))
-    with mpmath.workdps(30):
-        num, den = ([mpmath.mpf(c) for c in p[::-1]] for p in (k.num, k.den))
-
-        def gain(w):
-            z = mpmath.expj(w)
-            return abs(mpmath.polyval(num, z) / mpmath.polyval(den, z))
-
-        phi = (mpmath.sqrt(5) - 1) / 2
-        best = mpmath.mpf(0)
-        for i in np.argsort(samples)[-3:]:
-            a, b = mpmath.mpf(ws[max(i - 1, 0)]), mpmath.mpf(ws[min(i + 1, ws.size - 1)])
-            c, d = b - phi * (b - a), a + phi * (b - a)
-            gc, gd = gain(c), gain(d)
-            for _ in range(50):
-                if gc > gd:
-                    b, d, gd = d, c, gc
-                    c = b - phi * (b - a)
-                    gc = gain(c)
-                else:
-                    a, c, gc = c, d, gd
-                    d = a + phi * (b - a)
-                    gd = gain(d)
-            best = max(best, gc, gd, gain(mpmath.mpf(ws[i])))
-        return float(best)
 
 
 def test_gain_with_a_negligible_leading_weight_is_within_the_horner_floor():

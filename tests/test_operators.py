@@ -291,6 +291,17 @@ def test_a_kind_that_is_no_string_is_an_unknown_kind(kind):
         OperatorSpec(kind=kind, fixed_point=(0.0, 0.0))
 
 
+@pytest.mark.parametrize("data", [[0.5, 4.0], "sector", None])
+def test_a_sector_that_is_no_object_is_rejected(data):
+    with pytest.raises(ValueError, match="^sector must be a JSON object$"):
+        SectorParams.from_json(data)
+
+
+def test_a_single_eigenvalue_has_no_strict_sector():
+    with pytest.raises(ValueError, match="^spectrum is degenerate, no strict sector exists$"):
+        derived_sector(diagonal_quadratic([2.0, 2.0]))
+
+
 def test_linear_map_is_read_only():
     op = bilinear_operator([[1.0, 0.2], [0.0, 2.0]])
     assert_allclose(op.linear_map, [[0, 0, 1.0, 0.2], [0, 0, 0, 2.0],

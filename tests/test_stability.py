@@ -89,6 +89,12 @@ def test_marginal_band_is_one_in_a_billion():
     # band and is not. A band of 1e-6 fails the first, one of 1e-10 the second.
     assert is_schur((-(1 - 1e-8), 1.0))
     assert not is_schur((-(1 - 5e-10), 1.0))
+    # at the band's edge r = 1 - 1e-9, for a root at r or -r: stable one ulp
+    # below the edge, not on it, one ulp above it or at 1
+    for sign in (-1.0, 1.0):
+        assert is_schur((sign * 0.9999999989999999, 1.0))
+        for r in (0.999999999, 0.9999999990000001, 1.0):
+            assert not is_schur((sign * r, 1.0)), (sign, r)
 
 
 def test_spectral_radius_examples():

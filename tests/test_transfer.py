@@ -80,6 +80,17 @@ def test_single_call_variants_share_the_optimistic_transfer():
     assert not tf_equal(ogd, build_transfer(MethodSpec("gd", eta=1.3)))
 
 
+def test_two_zero_numerators_are_equal():
+    # scale 0 meets the tolerance 0 times scale with equality
+    zero = RationalTF(num=(0.0,), den=(-0.5, 1.0))
+    assert tf_equal(zero, RationalTF(num=(0.0,), den=(0.25, 1.0)))
+
+
+def test_from_coeffs_rejects_a_denominator_below_the_trim():
+    with pytest.raises(ValueError, match="^denominator is identically zero$"):
+        RationalTF.from_coeffs([1.0], [1e-15])
+
+
 def test_equivalence_family():
     eta = 0.21
     ogd = build_transfer(MethodSpec("ogd", eta=eta))
