@@ -11,7 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import OperatorSpec, derived_sector, eval_operator, json_number
+from .operators import OperatorSpec, _evaluator, derived_sector, json_number
+# eval_operator stays bound here: the benchmark tracer wraps freqcert.dynamics.eval_operator
+from .operators import eval_operator  # noqa: F401
 from .transfer import MethodSpec, Recursion
 
 DIVERGENCE_FACTOR = 1e6
@@ -56,23 +58,39 @@ class NoiseAdversary:
 def apply_noise(adv: NoiseAdversary, value, k: int) -> np.ndarray:
     """Observed operator value at evaluation index ``k``. Every strategy but
     random is a fixed linear map applied along the first axis, so on a
-    matrix it maps each column."""
+    matrix it maps each column. The per-call form of :func:`_noise`."""
     value = np.asarray(value, dtype=float)
-    if adv.strategy == "none" or adv.delta == 0.0:
-        return value
-    if adv.strategy == "scale_up":
-        return (1.0 + adv.delta) * value
-    if adv.strategy == "scale_down":
-        return (1.0 - adv.delta) * value
+    return _noise(adv, value.size)(value, k)
+
+
+def _noise(adv: NoiseAdversary, size: int):
+    """The observation ``f(value, k)`` of ``adv`` at evaluation index ``k``, for
+    float arrays ``value`` of ``size`` entries. The strategy, and the chunk
+    layout of random noise, are decided here, once, so a run pays for them
+    once and not on every observation."""
+    delta = adv.delta
+    if adv.strategy == "none" or delta == 0.0:
+        return lambda value, k: value
+    if adv.strategy in ("scale_up", "scale_down"):
+        factor = 1.0 + delta if adv.strategy == "scale_up" else 1.0 - delta
+        return lambda value, k: factor * value
     if adv.strategy == "rotate":
-        m = value.shape[0] // 2 * 2
-        out = value.copy()
-        out[0:m:2] -= adv.delta * value[1:m:2]
-        out[1:m:2] += adv.delta * value[0:m:2]
-        return out
-    u = _random_direction(adv, k, value.size)
-    norm = math.sqrt(value.dot(value))  # np.linalg.norm, minus its overhead
-    return value if norm == 0.0 else value + adv.delta * norm * u
+        def rotate(value, k):
+            m = value.shape[0] // 2 * 2
+            out = value.copy()
+            out[0:m:2] -= delta * value[1:m:2]
+            out[1:m:2] += delta * value[0:m:2]
+            return out
+
+        return rotate
+    direction = _directions(adv.seed, size)
+
+    def push_random(value, k):
+        u = direction(k)
+        norm = math.sqrt(value.dot(value))  # np.linalg.norm, minus its overhead
+        return value if norm == 0.0 else value + delta * norm * u
+
+    return push_random
 
 
 def _chunk_rows(size: int) -> int:
@@ -81,12 +99,16 @@ def _chunk_rows(size: int) -> int:
     return min(256, max(1, 2**16 // size))
 
 
-def _random_direction(adv: NoiseAdversary, k: int, size: int) -> np.ndarray:
-    """The seeded uniform unit direction of random noise at index ``k``: row
-    k % R of chunk k // R, R = ``_chunk_rows(size)``. It depends only on
-    (seed, k, size)."""
+def _directions(seed: int, size: int):
+    """The seeded uniform unit direction of random noise at index ``k``, as a
+    function of ``k``: row k % R of chunk k // R, R = ``_chunk_rows(size)``.
+    It depends only on (seed, k, size)."""
     rows = _chunk_rows(size)
-    return _direction_chunk(adv.seed, k // rows, size)[k % rows]
+
+    def direction(k):
+        return _direction_chunk(seed, k // rows, size)[k % rows]
+
+    return direction
 
 
 @functools.lru_cache(maxsize=8)
@@ -121,8 +143,8 @@ class Trajectory:
 
 def _implicit_stepper(op, adv, counter, coeff, keep_obs):
     """Per-run solver of x = rhs - coeff * F_obs(x). Each step takes one
-    observation index; every observation of the step is :func:`apply_noise`
-    at it, so random noise gives them one seeded unit direction u. Returns
+    observation index; every observation of the step is the adversary's at
+    it, so random noise gives them one seeded unit direction u. Returns
     (x, F_obs(x)), the closed form's observation None unless ``keep_obs``.
 
     On a linear operator F(x) = M v, v = x - fp, the step is closed form with
@@ -136,36 +158,38 @@ def _implicit_stepper(op, adv, counter, coeff, keep_obs):
     scalar-noncvx, nonlinear in x, takes a damped fixed-point iteration.
     """
     random = adv.strategy == "random" and adv.delta > 0.0
+    evaluate, noise = _evaluator(op), _noise(adv, op.dimension)
+
+    def observe(x, k):
+        return noise(evaluate(x), k)
+
     M = op.linear_map
     if M is None:
         sec = derived_sector(op)
         tau = 2.0 / (2.0 + abs(coeff) * (sec.mu + sec.L))
     else:
         fp = op.fixed_array
-        noisy_map = M if random else apply_noise(adv, M, 0)
+        noisy_map = M if random else noise(M, 0)
         inv = np.linalg.inv(np.eye(op.dimension) + coeff * noisy_map)
         gain = M @ inv  # M R^-1
         push = coeff * adv.delta
+        direction = _directions(adv.seed, op.dimension)
 
     def solve(rhs):
         idx = next(counter)
-
-        def observe(x):
-            return apply_noise(adv, eval_operator(op, x), idx)
-
         if M is None:
             x = np.array(rhs, dtype=float)
-            tol = IMPLICIT_TOL * (1.0 + float(np.linalg.norm(rhs)))
+            tol = IMPLICIT_TOL * (1.0 + math.sqrt(x.dot(x)))  # np.linalg.norm, minus its overhead
             for _ in range(IMPLICIT_MAX_ITER):
-                obs = observe(x)
+                obs = observe(x, idx)
                 res = x - rhs + coeff * obs
-                if float(np.linalg.norm(res)) <= tol:
+                if math.sqrt(res.dot(res)) <= tol:
                     return x, obs
                 x = x - tau * res
             raise RuntimeError("implicit step did not reach the residual tolerance")
         r = rhs - fp
         if random:
-            u = _random_direction(adv, idx, op.dimension)
+            u = direction(idx)
             a, b = gain @ r, push * (gain @ u)
             aa, ab, bb = a.dot(a), a.dot(b), b.dot(b)
             if bb >= 1.0:
@@ -178,7 +202,7 @@ def _implicit_stepper(op, adv, counter, coeff, keep_obs):
             t = aa / (ab + disc) if ab > 0.0 else (disc - ab) / (1.0 - bb)
             r = r - push * t * u
         x = fp + inv @ r
-        return x, observe(x) if keep_obs else None
+        return x, observe(x, idx) if keep_obs else None
 
     return solve
 
@@ -228,9 +252,10 @@ def run(
         raise ValueError("x0 dimension mismatch")
     fp = op.fixed_array
     counter = itertools.count()
+    evaluate, noise = _evaluator(op), _noise(adversary, op.dimension)
 
     def observe(x):
-        return apply_noise(adversary, eval_operator(op, x), next(counter))
+        return noise(evaluate(x), next(counter))
 
     rec = Recursion.of(method)
     alternate = mode == "alternating"
@@ -296,13 +321,16 @@ def run(
             x = _combine(x_terms)
         x, pending = (x, None) if solve is None else solve(x)
         xs.append(x)
-        finite = np.isfinite(x).all()
         r = x - fp
-        d = math.sqrt(r.dot(r)) if finite else float("inf")  # np.linalg.norm, minus its overhead
-        traj.distances.append(d)
-        if not finite or d > bound:
+        # np.linalg.norm, minus its overhead: inf or NaN exactly when x is not
+        # finite or r.r overflows. Only an infinite bound (from an infinite
+        # initial distance) leaves d = inf to the finiteness test.
+        d = math.sqrt(r.dot(r))
+        if not d <= bound or (d == math.inf and not np.isfinite(x).all()):
+            traj.distances.append(math.inf if math.isnan(d) else d)
             traj.diverged = True
             break
+        traj.distances.append(d)
     traj.points = xs[n_x - 1:]
     return traj
 

@@ -108,6 +108,8 @@ def level_radius(k: RationalTF, gamma: float, cap: float = math.inf) -> float:
     squared overflows, |D| <= |N| / gamma holds only within rounding of D's
     roots, and r, their largest magnitude, is returned."""
     r = spectral_radius_poly(k.den)
+    if r >= cap:  # D's roots already reach it: no pass, and no scaled loop
+        return float(r)
     e, num, den = _scaled_loop(k.num, k.den)
     try:
         g2 = math.ldexp(gamma, -e) ** 2

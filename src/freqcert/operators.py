@@ -109,7 +109,7 @@ class OperatorSpec:
     mu: float | None = None
     # F(x) = linear_map (x - fixed_point), read-only; None for scalar-noncvx
     linear_map: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # fixed_point as a read-only float array, built once here for eval_operator
+    # fixed_point as a read-only float array, built once here for _evaluator
     fixed_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -247,18 +247,39 @@ def derived_sector(op: OperatorSpec) -> SectorParams:
     raise ValueError(f"{op.kind} admits no strongly monotone sector")
 
 
+def _evaluator(op: OperatorSpec):
+    """F of ``op`` as a function of one float array of its dimension. The kind
+    is decided here, once, so a caller that evaluates F many times, such as a
+    simulation, pays for it once."""
+    if op.kind == "scalar-noncvx":
+        def evaluate(x):
+            return 2.0 * x + np.sin(x)
+
+        return evaluate
+    M = op.linear_map
+    if op.kind == "bilinear":
+        n = op.dimension // 2
+        A = M[:n, n:]
+        minus_At = -A.T
+
+        def evaluate(x):
+            return np.concatenate([A @ x[n:], minus_At @ x[:n]])
+
+        return evaluate
+    fp = op.fixed_array
+
+    def evaluate(x):
+        return M @ (x - fp)
+
+    return evaluate
+
+
 def eval_operator(op: OperatorSpec, x) -> np.ndarray:
-    """Apply the operator; rejects inputs of the wrong dimension."""
+    """Apply the operator; rejects inputs of the wrong dimension. The
+    per-call form of :func:`_evaluator`, with the input checked."""
     x = np.asarray(x, dtype=float)
     if x.shape != (op.dimension,):
         raise ValueError(
             f"input has shape {x.shape}, operator expects ({op.dimension},)"
         )
-    if op.kind == "scalar-noncvx":
-        return 2.0 * x + np.sin(x)
-    M = op.linear_map
-    if op.kind == "bilinear":
-        n = op.dimension // 2
-        A = M[:n, n:]
-        return np.concatenate([A @ x[n:], -A.T @ x[:n]])
-    return M @ (x - op.fixed_array)
+    return _evaluator(op)(x)

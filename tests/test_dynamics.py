@@ -328,16 +328,22 @@ def test_an_implicit_step_that_does_not_settle_raises(monkeypatch):
 
 
 def _evaluation_points(monkeypatch, *args):
-    """The points the operator evaluations of ``run(*args)`` receive, in order."""
+    """The points the operator evaluations of ``run(*args)`` receive, in order:
+    ``run`` evaluates through the function ``_evaluator`` builds for it."""
     dynamics = importlib.import_module("freqcert.dynamics")
     seen = []
-    evaluate = dynamics.eval_operator
+    build = dynamics._evaluator
 
-    def recorded(op, x):
-        seen.append(np.array(x))
-        return evaluate(op, x)
+    def recording(op):
+        evaluate = build(op)
 
-    monkeypatch.setattr(dynamics, "eval_operator", recorded)
+        def recorded(x):
+            seen.append(np.array(x))
+            return evaluate(x)
+
+        return recorded
+
+    monkeypatch.setattr(dynamics, "_evaluator", recording)
     run(*args)
     monkeypatch.undo()
     return seen
@@ -350,6 +356,7 @@ def test_past_extragradient_aligns_with_the_optimistic_iterates(monkeypatch):
     eta = 0.1
     x0 = np.array([0.3])
     halves = _evaluation_points(monkeypatch, MethodSpec("pegd", eta=eta), op, x0, 40)
+    assert len(halves) == 41  # one at x0, then one per step
     halves = halves[1:]  # the first observation, at x0, fills s_(-1)
     shifted_start = x0 - eta * eval_operator(op, x0)
     ogd = run(MethodSpec("ogd", eta=eta), op, shifted_start, 39, history=[x0])
@@ -365,6 +372,7 @@ def test_reflected_step_aligns_with_the_optimistic_iterates(monkeypatch):
     x0 = np.array([0.3])
     # the first recorded point is y_0: rgd makes no observation before it
     halves = _evaluation_points(monkeypatch, MethodSpec("rgd", eta=eta), op, x0, 40)
+    assert len(halves) == 40  # one per step
     ogd = run(MethodSpec("ogd", eta=eta), op, x0, 39, history=[np.zeros(1)])
     for half, point in zip(halves, ogd.points):
         assert_allclose(half, point, atol=5e-16)
@@ -498,6 +506,24 @@ def test_divergence_is_flagged_and_truncated():
     assert t.distances[-1] > 1e6 * t.distances[0]
 
 
+@pytest.mark.parametrize("method, x0", [
+    # eta F(x0) = (5e307, 4e308) overflows, so x1 = (1 - 5e307, -inf)
+    (MethodSpec("gd", eta=1e308), [1.0, 1.0]),
+    # x1 = x0 - 2 eta s0 + eta s0 with eta s0 = (5e307, inf): the second
+    # coordinate sums -inf and inf to NaN
+    (MethodSpec("ogd", eta=1e308), [1.0, 1.0]),
+    # the initial distance, and with it the bound, is infinite; x1 = (-inf, -inf)
+    (MethodSpec("gd", eta=1e308), [1e308, 1e308]),
+])
+def test_a_non_finite_iterate_diverges_at_once(method, x0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = run(method, diagonal_quadratic([0.5, 4.0]), x0, 10)
+    assert not np.isfinite(t.points[-1]).all()
+    assert t.diverged
+    assert len(t.distances) == len(t.points) == 2  # one step
+    assert t.distances[-1] == np.inf
+
+
 def test_explicit_history_is_honored():
     op = scalar_noncvx()
     x0 = np.array([0.5])
@@ -614,17 +640,23 @@ def test_simulator_and_certifier_see_the_same_system():
 
 def test_random_noise_draws_each_direction_once(monkeypatch):
     # pid observes once at x0 and once per implicit step, pp once per step;
-    # every observation of a step, closed form or damped iteration, is
-    # apply_noise at the step's index, and a run's directions are one chunk
+    # every observation of a step, closed form or damped iteration, is the
+    # noise function ``_noise`` builds for the run, at the step's index, and
+    # a run's directions are one chunk
     dynamics = importlib.import_module("freqcert.dynamics")
     ks = []
-    observe = dynamics.apply_noise
+    build = dynamics._noise
 
-    def counted(adv, value, k):
-        ks.append(k)
-        return observe(adv, value, k)
+    def counting(adv, size):
+        noise = build(adv, size)
 
-    monkeypatch.setattr(dynamics, "apply_noise", counted)
+        def counted(value, k):
+            ks.append(k)
+            return noise(value, k)
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "_noise", counting)
     steps = 40
     pid = MethodSpec("pid", kp=0.09, ki=0.13, kd=0.025)
     pp = MethodSpec("pp", eta=0.7)
@@ -653,28 +685,29 @@ def dynamics_module():
 
 
 def test_random_directions_repeat_in_any_call_order(dynamics_module):
-    draw = dynamics_module._random_direction
-    adv = NoiseAdversary("random", 0.1, seed=4)
+    def draw(seed, k, size):
+        return dynamics_module._directions(seed, size)(k)
+
     ks = (0, 255, 256, 257, 10_000)  # chunk edges for size 50, 256 rows a chunk
-    first = {k: draw(adv, k, 50).copy() for k in ks}
+    first = {k: draw(4, k, 50).copy() for k in ks}
     for order in (ks[::-1], (256, 0, 10_000, 257, 255)):
         dynamics_module._direction_chunk.cache_clear()
         for k in order:
-            assert np.array_equal(draw(adv, k, 50), first[k]), (order, k)
+            assert np.array_equal(draw(4, k, 50), first[k]), (order, k)
     for k, u in first.items():
         assert abs(np.linalg.norm(u) - 1.0) <= 1e-15, k
     distinct = [u.tobytes() for u in first.values()]
-    distinct.append(draw(NoiseAdversary("random", 0.1, seed=5), 0, 50).tobytes())
+    distinct.append(draw(5, 0, 50).tobytes())
     assert len(set(distinct)) == len(distinct)
     for k in ks:  # another size: not the same numbers, even on the shared prefix
-        assert not np.array_equal(draw(adv, k, 51)[:50], first[k]), k
+        assert not np.array_equal(draw(4, k, 51)[:50], first[k]), k
 
 
 def test_random_directions_are_uniform_on_the_sphere(dynamics_module):
     # a chunk normalized as a whole, or one row drawn for every index,
     # fails the moments of a uniform unit vector: mean 0, E u_i^2 = 1/size
-    adv = NoiseAdversary("random", 0.1, seed=17)
-    us = np.array([dynamics_module._random_direction(adv, k, 5) for k in range(4096)])
+    direction = dynamics_module._directions(17, 5)
+    us = np.array([direction(k) for k in range(4096)])
     assert np.abs(np.linalg.norm(us, axis=1) - 1.0).max() <= 1e-15
     assert np.abs(us.mean(axis=0)).max() <= 0.05
     assert np.abs((us**2).mean(axis=0) - 0.2).max() <= 0.02
@@ -703,7 +736,8 @@ def test_a_zero_row_is_redrawn_not_divided(dynamics_module, monkeypatch):
 
     monkeypatch.setattr(dynamics_module.np.random, "default_rng", ZeroRow)
     adv = NoiseAdversary("random", 0.5, seed=3)
-    rows = [dynamics_module._random_direction(adv, k, size) for k in range(5)]
+    direction = dynamics_module._directions(adv.seed, size)
+    rows = [direction(k) for k in range(5)]
     assert len(redraws) == 2
     assert np.isfinite(rows[2]).all() and abs(np.linalg.norm(rows[2]) - 1.0) <= 1e-15
     assert_allclose(rows[2], redraws[1] / np.linalg.norm(redraws[1]), rtol=1e-15)
@@ -720,7 +754,7 @@ def test_a_direction_chunk_holds_at_most_max_2_16_size_floats(dynamics_module, s
     assert chunk.shape == (dynamics_module._chunk_rows(size), size)
     assert chunk.size <= max(2**16, size)
     assert not chunk.flags.writeable
-    u = dynamics_module._random_direction(NoiseAdversary("random", 0.1), chunk.shape[0], size)
+    u = dynamics_module._directions(0, size)(chunk.shape[0])
     assert abs(np.linalg.norm(u) - 1.0) <= 1e-15  # the first row of the next chunk
     assert dynamics_module._direction_chunk.cache_info().currsize == 2
     assert dynamics_module._direction_chunk.cache_info().maxsize == 8

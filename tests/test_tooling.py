@@ -136,3 +136,20 @@ def test_search_outputs_prints_every_search_and_restores_the_probe(monkeypatch, 
         ("generated", i) for i in range(4)} | {("templates", i) for i in range(5)}
     assert fields[0][:4] == ("best_rate", "family1", "0", "gd")
     assert any(int(probes) > 0 for *_, probes in fields)
+
+
+def test_ab_pairs_counts_wins_by_each_metrics_direction(monkeypatch):
+    tool = _load_tool(monkeypatch, "ab_pairs")
+    metrics = [("ops_per_s", "ops/s", "higher"), ("op_p50_ms", "ms", "lower")]
+    assert [name for name, *_ in metrics] == [name for name, *_ in tool.end_to_end()][1:3]
+    base = [{"ops_per_s": v, "op_p50_ms": 2.0} for v in (100.0, 102.0, 98.0, 101.0, 99.0)]
+    change = [{"ops_per_s": v, "op_p50_ms": p} for v, p in
+              ((110.0, 1.5), (111.0, 2.0), (97.0, 2.5), (112.0, 1.5), (109.0, 1.5))]
+    rows = {row[0]: row for row in tool.summarize(base, change, metrics)}
+    name, unit, bq, cq, ratio, wins, gain = rows["ops_per_s"]
+    assert (unit, bq, cq, wins, gain) == ("ops/s", [99.0, 100.0, 101.0], [109.0, 110.0, 111.0], 4, False)
+    assert ratio == 1.1
+    *_, wins, gain = rows["op_p50_ms"]  # a tie counts for neither side
+    assert (wins, gain) == (3, False)
+    change[2]["ops_per_s"] = 108.0  # all five won, and 110 - 100 > the base's IQR of 2
+    assert tool.summarize(base, change, metrics)[0][-2:] == (5, True)
