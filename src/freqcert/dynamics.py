@@ -7,6 +7,7 @@ import functools
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,11 +87,19 @@ def _noise(adv: NoiseAdversary, size: int):
     direction = _directions(adv.seed, size)
 
     def push_random(value, k):
-        u = direction(k)
-        norm = math.sqrt(value.dot(value))  # np.linalg.norm, minus its overhead
-        return value if norm == 0.0 else value + delta * norm * u
+        norm = _norm(value)
+        return value if norm == 0.0 else value + delta * norm * direction(k)
 
     return push_random
+
+
+def _norm(v) -> float:
+    """The Euclidean norm of the 1-D float array ``v``: sqrt(v.v), the bits of
+    ``np.linalg.norm`` without its overhead, unless v.v overflows (past
+    |v| ~ 1.34e154) or v is not finite; then ``math.hypot``, which scales and
+    does not overflow."""
+    norm = math.sqrt(v.dot(v))
+    return norm if norm < math.inf else math.hypot(*v)
 
 
 def _chunk_rows(size: int) -> int:
@@ -126,7 +135,7 @@ def _direction_chunk(seed: int, j: int, size: int) -> np.ndarray:
     for i in np.flatnonzero(norms == 0.0):
         while norms[i] == 0.0:
             g[i] = rng.standard_normal(size)
-            norms[i] = math.sqrt(g[i].dot(g[i]))
+            norms[i] = _norm(g[i])
     g /= norms[:, None]
     g.flags.writeable = False
     return g
@@ -141,49 +150,44 @@ class Trajectory:
     diverged: bool = False
 
 
-def _implicit_stepper(op, adv, counter, coeff, keep_obs):
-    """Per-run solver of x = rhs - coeff * F_obs(x). Each step takes one
-    observation index; every observation of the step is the adversary's at
-    it, so random noise gives them one seeded unit direction u. Returns
-    (x, F_obs(x)), the closed form's observation None unless ``keep_obs``.
+def _implicit_stepper(op, adv, observe, noise, coeff, keep_obs):
+    """Per-run solver of x = rhs - coeff * F_obs(x), as ``solve(rhs, k)``.
+    ``observe(x, k)`` and ``noise(value, k)`` are the run's own observation
+    and noise functions, and ``k`` is the step's one observation index:
+    every observation of the step is the adversary's at it, so random noise
+    gives them one seeded unit direction u. Returns (x, F_obs(x)), the closed
+    form's observation None unless ``keep_obs``.
 
     On a linear operator F(x) = M v, v = x - fp, the step is closed form with
     R = I + coeff N M inverted once per run. Every strategy but random
-    observes N M v for a fixed N, so v = R^-1 r with r = rhs - fp. Random
-    noise observes M v + delta t u with t = ||M v||, so (N = I)
-    v = R^-1 (r - coeff delta t u), and t is the nonnegative root of
+    observes N M v for a fixed N, N M = noise(M, 0), so v = R^-1 r with
+    r = rhs - fp. Random noise observes M v + delta t u with t = ||M v||,
+    so (N = I) v = R^-1 (r - coeff delta t u), and t is the nonnegative root of
     (1 - b.b) t^2 + 2 (a.b) t - a.a = 0 with a = M R^-1 r and
     b = coeff delta M R^-1 u. For monotone M, coeff M R^-1 is nonexpansive,
     so ||b|| <= delta and the root is unique when delta < 1.
     scalar-noncvx, nonlinear in x, takes a damped fixed-point iteration.
     """
     random = adv.strategy == "random" and adv.delta > 0.0
-    evaluate, noise = _evaluator(op), _noise(adv, op.dimension)
-
-    def observe(x, k):
-        return noise(evaluate(x), k)
-
     M = op.linear_map
     if M is None:
         sec = derived_sector(op)
         tau = 2.0 / (2.0 + abs(coeff) * (sec.mu + sec.L))
     else:
         fp = op.fixed_array
-        noisy_map = M if random else noise(M, 0)
-        inv = np.linalg.inv(np.eye(op.dimension) + coeff * noisy_map)
-        gain = M @ inv  # M R^-1
-        push = coeff * adv.delta
-        direction = _directions(adv.seed, op.dimension)
+        inv = np.linalg.inv(np.eye(op.dimension) + coeff * (M if random else noise(M, 0)))
+        if random:
+            gain, push = M @ inv, coeff * adv.delta  # gain = M R^-1
+            direction = _directions(adv.seed, op.dimension)
 
-    def solve(rhs):
-        idx = next(counter)
+    def solve(rhs, idx):
         if M is None:
             x = np.array(rhs, dtype=float)
-            tol = IMPLICIT_TOL * (1.0 + math.sqrt(x.dot(x)))  # np.linalg.norm, minus its overhead
+            tol = IMPLICIT_TOL * (1.0 + _norm(x))
             for _ in range(IMPLICIT_MAX_ITER):
                 obs = observe(x, idx)
                 res = x - rhs + coeff * obs
-                if math.sqrt(res.dot(res)) <= tol:
+                if _norm(res) <= tol:
                     return x, obs
                 x = x - tau * res
             raise RuntimeError("implicit step did not reach the residual tolerance")
@@ -240,8 +244,10 @@ def run(
     is the point where s_(-1-i) was observed (for a method that evaluates
     away from its iterates, the stale evaluation point). Entries are observed
     oldest first. Without it ``x0`` fills every earlier slot and is observed
-    once. Non-finite iterates or growth beyond ``DIVERGENCE_FACTOR`` times
-    the initial distance mark the trajectory diverged and stop it.
+    once. A distance to the fixed point that is infinite, NaN or beyond
+    ``DIVERGENCE_FACTOR`` times the initial distance marks the trajectory
+    diverged and stops it. Distances do not overflow short of the float
+    range, so a far start gets a finite initial distance and bound.
     """
     if adversary is None:
         adversary = NoiseAdversary("none", 0.0)
@@ -254,8 +260,8 @@ def run(
     counter = itertools.count()
     evaluate, noise = _evaluator(op), _noise(adversary, op.dimension)
 
-    def observe(x):
-        return noise(evaluate(x), next(counter))
+    def observe(x, k):
+        return noise(evaluate(x), k)
 
     rec = Recursion.of(method)
     alternate = mode == "alternating"
@@ -282,7 +288,7 @@ def run(
     if history is None:
         xs = [x0] * n_x
         if n_s:
-            s0 = observe(x0)
+            s0 = observe(x0, next(counter))
             ss.extend([s0] * n_s)
             if rec.evaluates_at_iterate:
                 pending = s0
@@ -295,38 +301,35 @@ def run(
             raise ValueError(f"history points must have the shape of x0, {x0.shape}")
         xs = history[: n_x - 1][::-1] + [x0]
         for i in range(n_s - 1, -1, -1):  # oldest first
-            ss.append(observe(history[i]))
+            ss.append(observe(history[i], next(counter)))
     y_terms = [(w, xs, -1 - i) for i, w in enumerate(rec.e)]
     y_terms += [(-w, ss, -1 - i) for i, w in enumerate(rec.f)]
     x_terms = [(w, xs, -1 - i) for i, w in enumerate(rec.b)]
     x_terms += [(-w, ss, -1 - i) for i, w in enumerate(rec.c)]
     solve = None
     if rec.implicit:
-        solve = _implicit_stepper(op, adversary, counter, rec.implicit, observes)
+        solve = _implicit_stepper(op, adversary, observe, noise, rec.implicit, observes)
 
-    traj = Trajectory(distances=[float(np.linalg.norm(x0 - fp))])
-    bound = DIVERGENCE_FACTOR * max(traj.distances[0], 1e-12)
+    traj = Trajectory(distances=[_norm(x0 - fp)])
+    # at most the largest float, so an infinite distance exceeds it too
+    bound = min(DIVERGENCE_FACTOR * max(traj.distances[0], 1e-12), sys.float_info.max)
 
     for _ in range(steps):
         y = _combine(y_terms)  # x_k itself for a method that evaluates at its iterates
         if observes:
-            ss.append(observe(y) if pending is None else pending)
+            ss.append(observe(y, next(counter)) if pending is None else pending)
         x = _combine(x_terms)
         if alternate:
             # the second block observes at (x_(k+1), y_k); the combine is
             # elementwise, so redoing it leaves the first block as it was
-            s = observe(np.concatenate([x[:half], xs[-1][half:]]))  # a fresh array
-            s[:half] = ss[-1][:half]
+            s = observe(np.concatenate([x[:half], xs[-1][half:]]), next(counter))
+            s[:half] = ss[-1][:half]  # s is a fresh array
             ss[-1] = s
             x = _combine(x_terms)
-        x, pending = (x, None) if solve is None else solve(x)
+        x, pending = (x, None) if solve is None else solve(x, next(counter))
         xs.append(x)
-        r = x - fp
-        # np.linalg.norm, minus its overhead: inf or NaN exactly when x is not
-        # finite or r.r overflows. Only an infinite bound (from an infinite
-        # initial distance) leaves d = inf to the finiteness test.
-        d = math.sqrt(r.dot(r))
-        if not d <= bound or (d == math.inf and not np.isfinite(x).all()):
+        d = _norm(x - fp)
+        if not d <= bound:  # NaN too
             traj.distances.append(math.inf if math.isnan(d) else d)
             traj.diverged = True
             break

@@ -107,18 +107,26 @@ class OperatorSpec:
     matrix: tuple[tuple[float, ...], ...] | None = None
     jacobian: tuple[tuple[float, ...], ...] | None = None
     mu: float | None = None
-    # F(x) = linear_map (x - fixed_point), read-only; None for scalar-noncvx
-    linear_map: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # fixed_point as a read-only float array, built once here for _evaluator
+    # F(x) = linear_map (x - fixed_point), None for scalar-noncvx, and
+    # fixed_point as a float array: both read-only, built here from the fields
+    linear_map: np.ndarray | None = field(init=False, repr=False, compare=False)
     fixed_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _kind(self.kind)
-        if self.linear_map is not None:
-            self.linear_map.flags.writeable = False
+        M = None
+        if self.kind == "diagonal-quadratic":
+            M = np.diag(np.array(self.spectrum, dtype=float))
+        elif self.kind == "bilinear":
+            A = np.array(self.matrix, dtype=float)  # the saddle gradients (A y, -A' x)
+            M = np.block([[np.zeros_like(A), A], [-A.T, np.zeros_like(A)]])
+        elif self.kind == "minmax-quadratic":
+            M = np.array(self.jacobian, dtype=float)
         fixed_array = np.array(self.fixed_point, dtype=float)
-        fixed_array.flags.writeable = False
-        object.__setattr__(self, "fixed_array", fixed_array)
+        for name, array in (("linear_map", M), ("fixed_array", fixed_array)):
+            if array is not None:
+                array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def dimension(self) -> int:
@@ -145,8 +153,7 @@ def diagonal_quadratic(spectrum, fixed_point=None) -> OperatorSpec:
         raise ValueError("spectrum must be non-empty and match the dimension")
     if any(s <= 0 for s in spectrum):
         raise ValueError("spectrum entries must be positive")
-    return OperatorSpec(kind="diagonal-quadratic", fixed_point=fixed_point, spectrum=spectrum,
-                        linear_map=np.diag(np.asarray(spectrum, dtype=float)))
+    return OperatorSpec(kind="diagonal-quadratic", fixed_point=fixed_point, spectrum=spectrum)
 
 
 def scalar_noncvx() -> OperatorSpec:
@@ -157,12 +164,8 @@ def scalar_noncvx() -> OperatorSpec:
 def bilinear_operator(matrix) -> OperatorSpec:
     """Saddle gradients (A y, -A' x) of x'Ay for a square non-singular A."""
     matrix = _floats(matrix, "matrix", rows=True)
-    A = np.asarray(matrix, dtype=float)
-    n = coupling_singular_values(A).size
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, n:] = A
-    M[n:, :n] = -A.T
-    return OperatorSpec(kind="bilinear", fixed_point=(0.0,) * (2 * n), matrix=matrix, linear_map=M)
+    n = coupling_singular_values(matrix).size
+    return OperatorSpec(kind="bilinear", fixed_point=(0.0,) * (2 * n), matrix=matrix)
 
 
 def build_minmax_operator(p, q, c, mu: float) -> OperatorSpec:
@@ -188,7 +191,7 @@ def build_minmax_operator(p, q, c, mu: float) -> OperatorSpec:
         raise ValueError("declared modulus mu must be positive")
     M = np.block([[P, C], [-C.T, Q]])
     return OperatorSpec(kind="minmax-quadratic", fixed_point=(0.0,) * (n + m),
-                        jacobian=tuple(tuple(row) for row in M), mu=mu, linear_map=M)
+                        jacobian=tuple(tuple(row) for row in M), mu=mu)
 
 
 # each operator kind: its constructor, which reads and checks every field, and

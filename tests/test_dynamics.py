@@ -1,5 +1,7 @@
+import collections
 import importlib
 import itertools
+import math
 import re
 
 import numpy as np
@@ -512,7 +514,8 @@ def test_divergence_is_flagged_and_truncated():
     # x1 = x0 - 2 eta s0 + eta s0 with eta s0 = (5e307, inf): the second
     # coordinate sums -inf and inf to NaN
     (MethodSpec("ogd", eta=1e308), [1.0, 1.0]),
-    # the initial distance, and with it the bound, is infinite; x1 = (-inf, -inf)
+    # the initial distance is finite, 1e308 sqrt 2, and 1e6 times it is
+    # infinite, so the bound is the largest float; x1 = (-inf, -inf)
     (MethodSpec("gd", eta=1e308), [1e308, 1e308]),
 ])
 def test_a_non_finite_iterate_diverges_at_once(method, x0):
@@ -522,6 +525,45 @@ def test_a_non_finite_iterate_diverges_at_once(method, x0):
     assert t.diverged
     assert len(t.distances) == len(t.points) == 2  # one step
     assert t.distances[-1] == np.inf
+
+
+# v.v overflows beyond |v| ~ 1.34e154 (numpy warns of that), but no norm of
+# the simulator does short of the float range
+far_start = np.errstate(over="ignore")
+
+
+@far_start
+def test_a_far_start_gets_finite_distances_and_a_finite_bound():
+    # the run from 1e200 grows past its bound and stops, with every distance
+    # finite; the one from 1e160 records hypot and converges
+    op = diagonal_quadratic([0.5, 4.0])
+    t = run(MethodSpec("gd", eta=2.0), op, [1e200, 1e200], 50)
+    assert t.diverged and len(t.distances) < 51
+    assert t.distances[0] == math.hypot(1e200, 1e200)
+    assert math.isfinite(t.distances[-1]) and t.distances[-1] > 1e6 * t.distances[0]
+    t = run(MethodSpec("gd", eta=0.2), op, [1e160, 1e160], 50)
+    assert not t.diverged and len(t.distances) == 51
+    assert t.distances[0] == math.hypot(1e160, 1e160)
+    assert t.distances[-1] < 1e-2 * t.distances[0]
+
+
+@far_start
+def test_a_far_start_moves_the_damped_implicit_step():
+    # x1 solves 2 x + sin(x) / 2 = 1e160; an infinite tolerance and residual
+    # would let the iteration stop at x0 without a move
+    t = run(MethodSpec("pp", eta=0.5), scalar_noncvx(), [1e160], 3)
+    assert not t.diverged
+    assert t.points[1][0] == pytest.approx(5e159, rel=1e-12)
+
+
+@far_start
+def test_random_noise_at_a_far_start_stays_finite():
+    # the push is delta |F(x)| u; an infinite |F(x)| would make it inf and NaN
+    adv = NoiseAdversary("random", 0.1, seed=1)
+    t = run(MethodSpec("ogd", eta=0.1), diagonal_quadratic([0.5, 4.0]), [1e160, 1e160], 50, adv)
+    assert not t.diverged and len(t.distances) == 51
+    assert all(math.isfinite(d) for d in t.distances)
+    assert np.isfinite(t.points).all()
 
 
 def test_explicit_history_is_honored():
@@ -673,6 +715,43 @@ def test_random_noise_draws_each_direction_once(monkeypatch):
         assert list(dict.fromkeys(ks)) == list(range(at_x0 + steps)), (m.family, op.kind)
         assert dynamics._direction_chunk.cache_info().misses == 1, (m.family, op.kind)
     dynamics._direction_chunk.cache_clear()
+
+
+@pytest.mark.parametrize("adv", [
+    NoiseAdversary("scale_up", 0.1),
+    NoiseAdversary("random", 0.04, seed=5),
+])
+def test_each_run_builds_its_observation_once(monkeypatch, adv):
+    # the implicit step observes through the run's own evaluator and noise
+    dynamics = importlib.import_module("freqcert.dynamics")
+    builds = collections.Counter()
+
+    def counted(name):
+        build = getattr(dynamics, name)
+
+        def counting(*args):
+            builds[name] += 1
+            return build(*args)
+
+        return counting
+
+    for name in ("_evaluator", "_noise"):
+        monkeypatch.setattr(dynamics, name, counted(name))
+    pid = MethodSpec("pid", kp=0.09, ki=0.13, kd=0.025)
+    pp = MethodSpec("pp", eta=0.7)
+    ogd = MethodSpec("ogd", eta=0.1)
+    linear = diagonal_quadratic([0.5, 4.0])
+    for m, op, x0 in (
+        (pp, linear, [1.0, -1.0]),
+        (pid, linear, [1.0, -1.0]),
+        (pp, scalar_noncvx(), [2.0]),
+        (pid, scalar_noncvx(), [2.0]),
+        (ogd, linear, [1.0, -1.0]),
+    ):
+        builds.clear()
+        t = run(m, op, x0, 10, adv)
+        assert not t.diverged and len(t.distances) == 11
+        assert builds == {"_evaluator": 1, "_noise": 1}, (m.family, op.kind)
 
 
 @pytest.fixture

@@ -311,6 +311,23 @@ def test_linear_map_is_read_only():
     assert scalar_noncvx().linear_map is None
 
 
+def test_the_linear_map_is_derived_from_the_fields_the_spec_compares():
+    # a replaced spectrum replaces the map: equal specs, equal F
+    moved = dataclasses.replace(diagonal_quadratic([0.5, 4.0]), spectrum=(1.0, 2.0))
+    twin = diagonal_quadratic([1.0, 2.0])
+    assert moved == twin and hash(moved) == hash(twin)
+    assert np.array_equal(moved.linear_map, twin.linear_map)
+    assert eval_operator(moved, [1.0, 1.0]).tolist() == [1.0, 2.0]
+    # a spec built without its constructor has its map too
+    direct = OperatorSpec("diagonal-quadratic", (0.0,), spectrum=(3.0,))
+    assert eval_operator(direct, [2.0]).tolist() == [6.0]
+    game = bilinear_operator([[1.0, 0.2], [0.0, 2.0]])
+    swapped = dataclasses.replace(game, matrix=((2.0, 0.0), (0.2, 1.0)))
+    assert eval_operator(swapped, [0.0, 0.0, 1.0, 1.0]).tolist() == [2.0, 1.2, 0.0, 0.0]
+    with pytest.raises(TypeError, match="linear_map"):
+        OperatorSpec("diagonal-quadratic", (0.0,), spectrum=(3.0,), linear_map=np.eye(1))
+
+
 def test_fixed_array_is_a_read_only_copy_outside_the_spec_identity():
     op = diagonal_quadratic([1.0, 2.0, 3.0], fixed_point=[0.5, -1.0, 2.0])
     assert op.fixed_array.dtype == float and op.fixed_array.tolist() == [0.5, -1.0, 2.0]

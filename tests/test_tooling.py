@@ -153,3 +153,19 @@ def test_ab_pairs_counts_wins_by_each_metrics_direction(monkeypatch):
     assert (wins, gain) == (3, False)
     change[2]["ops_per_s"] = 108.0  # all five won, and 110 - 100 > the base's IQR of 2
     assert tool.summarize(base, change, metrics)[0][-2:] == (5, True)
+
+
+def test_cli_outputs_prints_one_line_per_command_and_repeats_them(monkeypatch, capsys):
+    tool = _load_tool(monkeypatch, "cli_outputs")
+    assert tool.main() == 0
+    first = capsys.readouterr().out.splitlines()
+    assert tool.main() == 0
+    assert capsys.readouterr().out.splitlines() == first
+    simulations = len(tool.simulations())
+    assert simulations == len(tool.METHODS) * len(tool.OPERATORS) + 3
+    assert len(first) == simulations * len(tool.NOISE) + 5
+    line = re.compile(r"(simulate|certify|sweep|nyquist|spectrum|equivalence) .+ "
+                      r"\| exit [02] \| [0-9a-f]{64}")
+    assert all(line.fullmatch(text) for text in first)
+    diverging = [text for text in first if "gd-diverging.json" in text]
+    assert len(diverging) == len(tool.NOISE) and len({t.split()[-1] for t in diverging}) > 1
