@@ -1,8 +1,11 @@
 """Command-line interface: certification, sweeps, and CSV/JSON emitters.
 
 Exit codes: 0 for success (certify: certified), 2 for a completed analysis
-with a negative verdict, 1 for input, usage or I/O errors. CSV output uses
-'.' decimals and 17 significant digits so repeated runs are byte-identical.
+with a negative verdict, 1 for input, usage or I/O errors. Every CSV is
+written by one writer, ``_write_csv``: each number with '.' decimals and 17
+significant digits, so repeated runs are byte-identical and the integer
+columns (``k``, ``inside_disk``) read as integers; ``uncertified`` in
+``sweep`` is the only text cell.
 """
 
 from __future__ import annotations
@@ -32,10 +35,6 @@ EXIT_ERROR = 1
 EXIT_UNCERTIFIED = 2
 
 
-def _fmt(v) -> str:
-    return format(float(v), ".17g")
-
-
 def _load_config(path: str, required: set, optional: set) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json_object(json.load(fh), "config", required, optional)
@@ -48,10 +47,14 @@ def _allow_improper(cfg: dict, args) -> bool:
     return flag or args.allow_improper
 
 
-def _write_lines(path: str, lines) -> None:
+def _write_csv(path: str, header: str, rows) -> None:
+    """Write ``header``, then one line per row: a str cell as it is, any
+    other cell as a float to 17 significant digits, so an integer reads "3"."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write(header + "\n")
+        for row in rows:
+            cells = (v if isinstance(v, str) else format(float(v), ".17g") for v in row)
+            fh.write(",".join(cells) + "\n")
 
 
 def cmd_certify(args) -> int:
@@ -79,12 +82,11 @@ def cmd_sweep(args) -> int:
     if not 0 < args.eta_min <= args.eta_max:
         raise ValueError("need 0 < eta-min <= eta-max")
     grid = np.linspace(args.eta_min, args.eta_max, args.eta_steps)
-    lines = ["eta,best_rho"]
+    rows = []
     for eta in grid:
         rho = best_rate(replace(method, eta=float(eta)), sector, allow_improper=allow)
-        verdict = "uncertified" if rho is None else _fmt(rho)
-        lines.append(f"{_fmt(eta)},{verdict}")
-    _write_lines(args.out, lines)
+        rows.append((eta, "uncertified" if rho is None else rho))
+    _write_csv(args.out, "eta,best_rho", rows)
     return EXIT_OK
 
 
@@ -95,11 +97,8 @@ def cmd_nyquist(args) -> int:
     rho = json_number(cfg.get("rho", 1.0), "rho")
     samples = frequency_response(method, sector, rho=rho, n_points=args.points)
     radius = gain_threshold(sector)
-    lines = ["omega,re,im,inside_disk"]
-    for omega, value in samples:
-        inside = 1 if abs(value) < radius else 0
-        lines.append(f"{_fmt(omega)},{_fmt(value.real)},{_fmt(value.imag)},{inside}")
-    _write_lines(args.out, lines)
+    rows = [(omega, v.real, v.imag, int(abs(v) < radius)) for omega, v in samples]
+    _write_csv(args.out, "omega,re,im,inside_disk", rows)
     return EXIT_OK
 
 
@@ -111,10 +110,8 @@ def cmd_spectrum(args) -> int:
     grid = np.linspace(args.s_min, args.s_max, args.points)
     alt = spectrum_curve("alt", grid)
     sim = spectrum_curve("sim", grid)
-    lines = ["s,alt_max_root,sim_max_root"]
-    for (s, ra), (_, rs) in zip(alt, sim):
-        lines.append(f"{_fmt(s)},{_fmt(ra)},{_fmt(rs)}")
-    _write_lines(args.out, lines)
+    rows = [(s, ra, rs) for (s, ra), (_, rs) in zip(alt, sim)]
+    _write_csv(args.out, "s,alt_max_root,sim_max_root", rows)
     return EXIT_OK
 
 
@@ -144,13 +141,9 @@ def cmd_simulate(args) -> int:
     header = "k,distance"
     if args.per_coordinate:
         header += "," + ",".join(f"x{i}" for i in range(op.dimension))
-    lines = [header]
-    for k, (point, dist) in enumerate(zip(traj.points, traj.distances)):
-        row = f"{k},{_fmt(dist)}"
-        if args.per_coordinate:
-            row += "," + ",".join(_fmt(v) for v in point)
-        lines.append(row)
-    _write_lines(args.out, lines)
+    rows = [(k, dist, *point) if args.per_coordinate else (k, dist)
+            for k, (point, dist) in enumerate(zip(traj.points, traj.distances))]
+    _write_csv(args.out, header, rows)
     if traj.diverged:
         print("trajectory diverged", file=sys.stderr)
     return EXIT_OK

@@ -165,7 +165,10 @@ def _implicit_stepper(op, adv, observe, noise, coeff, keep_obs):
     so (N = I) v = R^-1 (r - coeff delta t u), and t is the nonnegative root of
     (1 - b.b) t^2 + 2 (a.b) t - a.a = 0 with a = M R^-1 r and
     b = coeff delta M R^-1 u. For monotone M, coeff M R^-1 is nonexpansive,
-    so ||b|| <= delta and the root is unique when delta < 1.
+    so ||b|| <= delta and the root is unique when delta < 1. The quadratic is
+    homogeneous in (t, a), so a is divided by a power of two near its largest
+    entry and t multiplied back by it: the same bits, without a.a overflowing
+    on a far start.
     scalar-noncvx, nonlinear in x, takes a damped fixed-point iteration.
     """
     random = adv.strategy == "random" and adv.delta > 0.0
@@ -195,6 +198,8 @@ def _implicit_stepper(op, adv, observe, noise, coeff, keep_obs):
         if random:
             u = direction(idx)
             a, b = gain @ r, push * (gain @ u)
+            scale = 2.0 ** (math.frexp(np.abs(a).max())[1] - 1)  # 2.0**1024 would raise
+            a = a / scale
             aa, ab, bb = a.dot(a), a.dot(b), b.dot(b)
             if bb >= 1.0:
                 raise ValueError(
@@ -203,7 +208,7 @@ def _implicit_stepper(op, adv, observe, noise, coeff, keep_obs):
                 )
             disc = math.sqrt(ab * ab + (1.0 - bb) * aa)
             # two equal forms of the root; each avoids cancellation on its side
-            t = aa / (ab + disc) if ab > 0.0 else (disc - ab) / (1.0 - bb)
+            t = scale * (aa / (ab + disc) if ab > 0.0 else (disc - ab) / (1.0 - bb))
             r = r - push * t * u
         x = fp + inv @ r
         return x, observe(x, idx) if keep_obs else None

@@ -6,12 +6,14 @@ import pytest
 
 from freqcert import cli
 from freqcert.cli import main
-from freqcert.certify import CertificationResult
+from freqcert.certify import CertificationResult, best_rate, frequency_response
+from freqcert.dynamics import NoiseAdversary, run
 from freqcert.operators import (
     SectorParams,
     bilinear_operator,
     build_minmax_operator,
     diagonal_quadratic,
+    scalar_noncvx,
 )
 from freqcert.transfer import MethodSpec
 
@@ -202,6 +204,12 @@ def test_sweep_rows_and_determinism(tmp_path):
             assert verdict != "uncertified"
         else:
             assert verdict == "uncertified"
+    # every cell is the .17g text of the search's own answer
+    sector = SectorParams(mu=0.5, L=4)
+    for row, eta in zip(rows[1:], np.linspace(0.0025, 0.25, 12)):
+        rho = best_rate(MethodSpec("ogd", eta=float(eta)), sector)
+        verdict = "uncertified" if rho is None else format(rho, ".17g")
+        assert row == f"{format(eta, '.17g')},{verdict}"
 
 
 def _sweep_args(tmp_path, steps="2"):
@@ -323,6 +331,12 @@ def test_nyquist_marks_outside_samples(tmp_path):
     for row in rows[1:]:
         _, re, im, flag = row.split(",")
         assert (abs(complex(float(re), float(im))) < radius) == bool(int(flag))
+    samples = frequency_response(MethodSpec("ogd", eta=0.175), SectorParams(mu=0.5, L=4),
+                                 rho=1.0, n_points=256)
+    for row, (omega, value) in zip(rows[1:], samples, strict=True):
+        *cells, flag = row.split(",")
+        assert cells == [format(v, ".17g") for v in (omega, value.real, value.imag)]
+        assert flag in ("0", "1")
 
 
 def test_nyquist_reports_a_pole_on_the_unit_circle(tmp_path, capsys):
@@ -459,6 +473,10 @@ def test_simulate_csv(tmp_path):
     assert rows[0] == "k,distance"
     assert len(rows) == 102
     assert float(rows[-1].split(",")[1]) < 0.1
+    # k is an integer, the distance the .17g text of run's own value
+    traj = run(MethodSpec("ogd", eta=0.2), scalar_noncvx(), [0.1], 100,
+               NoiseAdversary("random", 0.0, seed=3))
+    assert rows[1:] == [f"{k},{format(d, '.17g')}" for k, d in enumerate(traj.distances)]
 
 
 def test_simulate_per_coordinate_columns(tmp_path):
@@ -477,6 +495,10 @@ def test_simulate_per_coordinate_columns(tmp_path):
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "k,distance,x0,x1"
     assert len(rows[1].split(",")) == 4
+    traj = run(MethodSpec("gd", eta=0.3), diagonal_quadratic([0.5, 4.0]), [1.0, -1.0], 10)
+    expected = [",".join([str(k)] + [format(v, ".17g") for v in (d, *x)])
+                for k, (x, d) in enumerate(zip(traj.points, traj.distances))]
+    assert rows[1:] == expected  # k as "0", not "0.0"
 
 
 def test_equivalence_verdicts(capsys):

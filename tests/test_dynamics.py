@@ -564,6 +564,17 @@ def test_random_noise_at_a_far_start_stays_finite():
     assert not t.diverged and len(t.distances) == 51
     assert all(math.isfinite(d) for d in t.distances)
     assert np.isfinite(t.points).all()
+    # the implicit step's root is found at a scaled-down a, so a.a does not
+    # overflow: a far start runs as the near one, times the start's scale
+    far = [2.0**530, 2.0**530]
+    for method in (MethodSpec("pp", eta=0.5), MethodSpec("pid", kp=0.09, ki=0.13, kd=0.025)):
+        near = run(method, diagonal_quadratic([0.5, 4.0]), [1.0, 1.0], 50, adv)
+        t = run(method, diagonal_quadratic([0.5, 4.0]), far, 50, adv)
+        assert not t.diverged and len(t.distances) == 51
+        if method.family == "pp":
+            assert np.array_equal(np.asarray(t.points), 2.0**530 * np.asarray(near.points))
+        else:
+            assert_allclose(t.distances, 2.0**530 * np.asarray(near.distances), rtol=1e-14)
 
 
 def test_explicit_history_is_honored():

@@ -163,7 +163,7 @@ def test_cli_outputs_prints_one_line_per_command_and_repeats_them(monkeypatch, c
     assert capsys.readouterr().out.splitlines() == first
     simulations = len(tool.simulations())
     assert simulations == len(tool.METHODS) * len(tool.OPERATORS) + 3
-    assert len(first) == simulations * len(tool.NOISE) + 5
+    assert len(first) == simulations * len(tool.NOISE) + 6
     line = re.compile(r"(simulate|certify|sweep|nyquist|spectrum|equivalence) .+ "
                       r"\| exit [02] \| [0-9a-f]{64}")
     assert all(line.fullmatch(text) for text in first)

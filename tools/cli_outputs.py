@@ -13,7 +13,14 @@ in-process on each command:
   operator kinds, alternating ogd on a bilinear game, a general method with
   an explicit history and a diverging gd, each under all five noise
   strategies (noise_delta 0.05, seed 7);
-- one certify, one sweep, one nyquist, one spectrum and one equivalence.
+- one ``simulate`` without ``--per-coordinate`` (pid on the diagonal
+  operator, random noise);
+- one certify, one sweep whose last step size is uncertified, one nyquist
+  (ogd, eta 0.175, rho 1, no delta) with 8 of its 64 samples outside the
+  disk, one spectrum and one equivalence.
+
+Between them they write every kind of CSV cell: floats, the integer columns
+``k`` and ``inside_disk`` (0 and 1) and the text ``uncertified``.
 
 Each line holds the command (its files by name), the exit code and the
 sha256 of what the command wrote: its stdout, its stderr (warnings
@@ -101,11 +108,15 @@ def commands(workdir: Path) -> list:
     ]
     configs["query.json"] = {"method": method("ogd"), "sector": SECTOR, "rho": 0.98}
     configs["sweep.json"] = {"method": method("gd"), "sector": SECTOR}
+    configs["nyquist.json"] = {"method": method("ogd", eta=0.175), "sector": {"mu": 0.5, "L": 4.0},
+                               "rho": 1.0}  # 8 of 64 samples outside the disk
     argvs += [
+        ["simulate", "--config", "pid-diagonal.json", "--steps", str(STEPS), "--seed", "7",
+         "--noise-strategy", "random", "--out", "out.csv"],
         ["certify", "--config", "query.json"],
-        ["sweep", "--config", "sweep.json", "--eta-min", "0.05", "--eta-max", "0.4",
+        ["sweep", "--config", "sweep.json", "--eta-min", "0.05", "--eta-max", "0.6",
          "--eta-steps", "3", "--out", "out.csv"],
-        ["nyquist", "--config", "query.json", "--points", "64", "--out", "out.csv"],
+        ["nyquist", "--config", "nyquist.json", "--points", "64", "--out", "out.csv"],
         ["spectrum", "--s-min", "0.1", "--s-max", "2", "--points", "8", "--out", "out.csv"],
         ["equivalence", "--lhs", json.dumps(method("gd")),
          "--rhs", json.dumps({"family": "hgd", "eta": 0.2, "a": [1.0]})],
